@@ -100,7 +100,7 @@ def main():
             entry["end_to_end"][name] = s
             bound = bounds.get(name)
             flag = ""
-            if name != "setup_s" and bound is not None and s["spread"] > bound:
+            if bound is not None and s["spread"] > bound:
                 flag, ok = "  OVER BOUND", False
             print(f"  {name:<16} median {s['median']:<14.6g} q1 {s['q1']:<12.6g} q3 {s['q3']:<12.6g}"
                   f" spread {s['spread']:.4f} (bound {bound}){flag}")

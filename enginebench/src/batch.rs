@@ -19,7 +19,7 @@ use ned_wikigen::corpus::{conll_like, kore50_like};
 use rayon::prelude::*;
 use rayon::ThreadPool;
 
-use crate::common::{build_kb, per, timed_setup, Ctx, Fp, Outcome};
+use crate::common::{build_kb, per, Ctx, Fp, Outcome, Setups};
 use crate::json::Json;
 use crate::probes::{CountingKb, RelRole, TimedRel};
 use crate::stats::{add_repetition, item_percentile, tail_percentile, Summary};
@@ -215,10 +215,7 @@ fn run_pass(pool: &ThreadPool, inputs: &Inputs) -> (Vec<DocOut>, f64) {
 
 pub fn run(ctx: &Ctx, kind: Kind) -> Outcome {
     let mut out = Outcome::default();
-    let (inputs, setup_times) = timed_setup(if ctx.trace { 1 } else { ctx.setup_repeats }, || {
-        setup(ctx, kind)
-    });
-    out.metric("setup_s", Summary::of(&setup_times));
+    let (inputs, mut setups) = Setups::first(ctx.setup_repeats(), || setup(ctx, kind));
 
     // Reference pass on one thread: the outputs every later pass must match.
     let (reference, _) = run_pass(&pool(1), &inputs);
@@ -256,7 +253,9 @@ pub fn run(ctx: &Ctx, kind: Kind) -> Outcome {
         add_repetition(&mut doc_ms, ms);
         pass_walls.push(wall);
         out.attempted += docs as u64;
+        setups.between(start.elapsed().as_secs_f64() / window, || setup(ctx, kind));
     }
+    setups.finish(&mut out, || setup(ctx, kind));
     out.check("passes_match_1thread_reference", bad == 0);
     out.failed += bad;
     out.detail

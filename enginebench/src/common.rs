@@ -22,7 +22,6 @@ pub struct Ctx {
     pub seconds: f64,
     pub trace: bool,
     pub nproc: usize,
-    pub setup_repeats: usize,
     /// This workload's entry of `spec.json`.
     pub spec: Json,
     /// `spec.json`'s `world` entry.
@@ -39,6 +38,16 @@ impl Ctx {
 
     pub fn usize(&self, key: &str) -> usize {
         self.num(key) as usize
+    }
+
+    /// Set-ups a run times: one in a traced run, whose figures come from
+    /// the untraced one.
+    pub fn setup_repeats(&self) -> usize {
+        if self.trace {
+            1
+        } else {
+            self.usize("setup_repeats")
+        }
     }
 
     /// The generator seed for this workload's inputs.
@@ -83,20 +92,57 @@ pub fn build_kb(ctx: &Ctx) -> Kb {
     }
 }
 
-/// Runs the set-up `repeats` times (at least once), timing each, and
-/// keeps the last result. Earlier results are dropped before the next
-/// set-up starts, so peak memory reflects one set-up.
-pub fn timed_setup<T>(repeats: usize, mut build: impl FnMut() -> T) -> (T, Vec<f64>) {
-    let mut times = Vec::new();
-    let mut last = None;
-    for _ in 0..repeats.max(1) {
-        drop(last.take());
+/// Set-up timing of one run.
+///
+/// The first set-up runs before the measuring window and its result is the
+/// one measured. The other repeats are timed and dropped at even slots
+/// across the window, between units of work: on a shared host the speed
+/// drifts over seconds, and a median of set-ups spread over the run
+/// follows the same host as the run's other figures, where a burst of
+/// set-ups at its start catches one moment of it.
+#[derive(Debug)]
+pub struct Setups {
+    times: Vec<f64>,
+    repeats: usize,
+    /// Peak memory before the first repeat: a repeat holds a second copy
+    /// of the inputs while it runs.
+    rss_mb: Option<f64>,
+}
+
+impl Setups {
+    /// Runs and times the first set-up; `repeats` (at least 1) is the
+    /// number of set-ups the run times in all.
+    pub fn first<T>(repeats: usize, build: impl FnOnce() -> T) -> (T, Setups) {
         let start = Instant::now();
         let value = build();
-        times.push(start.elapsed().as_secs_f64());
-        last = Some(value);
+        let setups = Setups {
+            times: vec![start.elapsed().as_secs_f64()],
+            repeats: repeats.max(1),
+            rss_mb: None,
+        };
+        (value, setups)
     }
-    (last.expect("set-up ran at least once"), times)
+
+    /// Between two units of work, with `share` of the window gone: runs
+    /// the repeats whose slots have come (repeat k is due at k / repeats).
+    pub fn between<T>(&mut self, share: f64, mut build: impl FnMut() -> T) {
+        while self.times.len() < self.repeats
+            && share * self.repeats as f64 >= self.times.len() as f64
+        {
+            self.rss_mb.get_or_insert_with(peak_rss_mb);
+            let start = Instant::now();
+            drop(build());
+            self.times.push(start.elapsed().as_secs_f64());
+        }
+    }
+
+    /// Runs the repeats still due, then records `setup_s` (the median of
+    /// every set-up) and the peak memory before the first repeat.
+    pub fn finish<T>(mut self, out: &mut Outcome, build: impl FnMut() -> T) {
+        self.between(1.0, build);
+        out.metric("setup_s", Summary::of(&self.times));
+        out.peak_rss_mb = self.rss_mb;
+    }
 }
 
 /// FNV-1a over 64-bit words: the benchmark's output fingerprint.
@@ -191,6 +237,9 @@ pub struct Outcome {
     pub spans: Vec<SpanRec>,
     /// Workload-specific detail for the results file.
     pub detail: Vec<(String, Json)>,
+    /// Peak memory of the workload when it is taken before the end of the
+    /// run (see [`Setups`]); the process peak otherwise.
+    pub peak_rss_mb: Option<f64>,
 }
 
 impl Outcome {

@@ -71,7 +71,6 @@ impl Json {
     }
 
     /// Required string member, with a message naming the key.
-    #[cfg(test)]
     pub fn str(&self, key: &str) -> Result<&str, String> {
         self.get(key)
             .and_then(Json::as_str)

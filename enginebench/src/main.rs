@@ -22,6 +22,7 @@ mod common;
 mod json;
 mod probes;
 mod serve;
+mod spec;
 mod stats;
 mod stream;
 mod trace;
@@ -31,10 +32,8 @@ use std::process::ExitCode;
 
 use common::{peak_rss_mb, per, Ctx, Outcome};
 use json::{obj, Json};
+use spec::{Named, Spec};
 use stats::Summary;
-
-/// Workload definitions, sizes, rates and metric units.
-const SPEC: &str = include_str!("../spec.json");
 
 fn out_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("out")
@@ -91,11 +90,9 @@ fn commit() -> String {
     std::env::var("BENCH_COMMIT").unwrap_or_else(|_| "unknown".to_string())
 }
 
-fn unit_of<'a>(table: &'a Json, name: &str) -> &'a str {
-    table
-        .get(name)
-        .and_then(Json::as_str)
-        .unwrap_or_else(|| panic!("spec.json names no unit for {name}"))
+fn unit_of<'a>(spec: &'a Spec, name: &str) -> &'a str {
+    spec.unit(name)
+        .unwrap_or_else(|| panic!("no unit for end-to-end metric {name}"))
 }
 
 fn summary_json(name: &str, unit: &str, s: &Summary) -> Json {
@@ -109,7 +106,7 @@ fn summary_json(name: &str, unit: &str, s: &Summary) -> Json {
     ])
 }
 
-fn run_check(files: &[String], spec: &Json) -> ExitCode {
+fn run_check(files: &[String], spec: &Spec) -> ExitCode {
     let mut ok = true;
     for file in files {
         let errors = match std::fs::read_to_string(file)
@@ -138,7 +135,7 @@ fn run_check(files: &[String], spec: &Json) -> ExitCode {
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let spec = json::parse(SPEC).expect("spec.json is valid JSON");
+    let spec = Spec::compiled();
     let args = match parse_args(&raw) {
         Ok(a) => a,
         Err(e) => {
@@ -156,11 +153,7 @@ fn main() -> ExitCode {
         eprintln!("       enginebench --check <results.json>...");
         return ExitCode::from(2);
     };
-    let Some(workload_spec) = spec
-        .get("workloads")
-        .and_then(|w| w.get(&workload))
-        .cloned()
-    else {
+    let Some(workload_spec) = spec.workload(&workload).cloned() else {
         eprintln!("enginebench: unknown workload {workload}");
         return ExitCode::from(2);
     };
@@ -171,9 +164,8 @@ fn main() -> ExitCode {
         seconds,
         trace,
         nproc,
-        setup_repeats: spec.num("setup_repeats").expect("spec.json setup_repeats") as usize,
         spec: workload_spec,
-        world_spec: spec.get("world").cloned().expect("spec.json world"),
+        world_spec: spec.json.get("world").cloned().expect("spec.json world"),
     };
 
     let mut outcome: Outcome = match workload.as_str() {
@@ -193,14 +185,10 @@ fn main() -> ExitCode {
         "failed_share",
         Summary::single(per(failed as f64, attempted as f64), attempted as usize),
     );
-    outcome.metric("peak_rss_mb", Summary::single(peak_rss_mb(), 1));
+    let peak = outcome.peak_rss_mb.unwrap_or_else(peak_rss_mb);
+    outcome.metric("peak_rss_mb", Summary::single(peak, 1));
     let correct = failed == 0 && failed_checks == 0;
 
-    let e2e_units = spec.get("end_to_end").expect("spec.json end_to_end");
-    let layer_units = spec
-        .get("per_layer")
-        .and_then(Json::as_object)
-        .expect("spec.json per_layer");
     let contract_map = ctx.spec.get("contract_map");
     let lookup = |name: &str| -> Option<Summary> {
         let source = contract_map
@@ -213,13 +201,6 @@ fn main() -> ExitCode {
             .find(|(n, _)| n == source)
             .map(|(_, s)| *s)
     };
-    let contract_names: Vec<&str> = spec
-        .get("contract_end_to_end")
-        .and_then(Json::as_array)
-        .expect("spec.json contract_end_to_end")
-        .iter()
-        .filter_map(Json::as_str)
-        .collect();
 
     // Human-readable report.
     println!(
@@ -230,7 +211,7 @@ fn main() -> ExitCode {
         println!(
             "  {name:<24} {:>14.6} {:<9} n={:<7} q1={:.6} q3={:.6}",
             s.value,
-            unit_of(e2e_units, name),
+            unit_of(&spec, name),
             s.n,
             s.q1,
             s.q3
@@ -240,9 +221,10 @@ fn main() -> ExitCode {
         println!("  check {name}: {}", if *ok { "ok" } else { "MISMATCH" });
     }
 
-    let mut layer_values: Vec<(String, String, f64)> = layer_units
+    let mut layer_values: Vec<(String, String, f64)> = spec
+        .per_layer
         .iter()
-        .map(|(n, u)| (n.clone(), u.as_str().unwrap_or("").to_string(), 0.0))
+        .map(|(n, u): &Named| (n.clone(), u.clone(), 0.0))
         .collect();
     if trace {
         if let Some(b) = &outcome.breakdown {
@@ -258,7 +240,7 @@ fn main() -> ExitCode {
         for (name, value) in &outcome.layers {
             match layer_values.iter_mut().find(|(n, _, _)| n == name) {
                 Some(slot) => slot.2 = *value,
-                None => panic!("per-layer metric {name} is not named in spec.json"),
+                None => panic!("per-layer metric {name} is not named in BENCHMARK.json"),
             }
         }
         for (name, unit, value) in &layer_values {
@@ -268,15 +250,15 @@ fn main() -> ExitCode {
 
     // Results file.
     let mut contract = Vec::new();
-    for name in contract_names.iter().filter(|_| !trace) {
+    for (name, unit) in spec.contract.iter().filter(|_| !trace) {
         let Some(s) = lookup(name) else {
             panic!("workload {workload} produced no value for contract metric {name}");
         };
         contract.push((
-            name.to_string(),
+            name.clone(),
             obj([
                 ("value", Json::Num(s.value)),
-                ("unit", Json::Str(unit_of(e2e_units, name).into())),
+                ("unit", Json::Str(unit.clone())),
             ]),
         ));
     }
@@ -322,7 +304,7 @@ fn main() -> ExitCode {
                 outcome
                     .e2e
                     .iter()
-                    .map(|(n, s)| summary_json(n, unit_of(e2e_units, n), s))
+                    .map(|(n, s)| summary_json(n, unit_of(&spec, n), s))
                     .collect(),
             ),
         ),
@@ -349,6 +331,7 @@ fn main() -> ExitCode {
                 "breakdown".into(),
                 obj([
                     ("lane_ns", Json::Num(b.lane_ns as f64)),
+                    ("roots_ns", Json::Num(b.roots_ns as f64)),
                     ("unattributed_ns", Json::Num(b.unattributed_ns as f64)),
                     ("nested", Json::Bool(b.nested)),
                     (
@@ -397,7 +380,7 @@ fn main() -> ExitCode {
     // aside (those are reported through `correct` and the exit code).
     let shape_errors: Vec<String> = check::validate(&results, &spec)
         .into_iter()
-        .filter(|e| !(e.contains("failed") || e.contains("not marked correct")))
+        .filter(|e| !check::is_mismatch(e))
         .collect();
     for e in &shape_errors {
         eprintln!("enginebench: results file shape: {e}");
@@ -414,15 +397,15 @@ fn main() -> ExitCode {
             })
             .collect()
     } else {
-        contract_names
+        spec.contract
             .iter()
-            .map(|n| {
+            .map(|(n, u)| {
                 let s = lookup(n).expect("checked above");
                 (
-                    n.to_string(),
+                    n.clone(),
                     obj([
                         ("value", Json::Num(s.value)),
-                        ("unit", Json::Str(unit_of(e2e_units, n).into())),
+                        ("unit", Json::Str(u.clone())),
                     ]),
                 )
             })
@@ -445,54 +428,6 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// BENCHMARK.json at the repository root names exactly the metrics this
-    /// spec reports, with the same units.
-    #[test]
-    fn spec_matches_benchmark_json() {
-        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../BENCHMARK.json");
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            return; // the benchmark directory on its own
-        };
-        let bench = json::parse(&text).expect("BENCHMARK.json is valid JSON");
-        let spec = json::parse(SPEC).expect("spec.json is valid JSON");
-        let names = |v: &Json, key: &str| -> Vec<(String, String)> {
-            v.arr(key)
-                .expect("metric list")
-                .iter()
-                .map(|m| {
-                    (
-                        m.str("name").expect("name").to_string(),
-                        m.str("unit").expect("unit").to_string(),
-                    )
-                })
-                .collect()
-        };
-        let e2e_units = spec.get("end_to_end").expect("units");
-        let contract: Vec<(String, String)> = spec
-            .arr("contract_end_to_end")
-            .expect("contract list")
-            .iter()
-            .filter_map(Json::as_str)
-            .map(|n| (n.to_string(), unit_of(e2e_units, n).to_string()))
-            .collect();
-        assert_eq!(names(&bench, "end_to_end"), contract);
-        let layers: Vec<(String, String)> = spec
-            .get("per_layer")
-            .and_then(Json::as_object)
-            .expect("per_layer")
-            .iter()
-            .map(|(n, u)| (n.clone(), u.as_str().expect("unit").to_string()))
-            .collect();
-        assert_eq!(names(&bench, "per_layer"), layers);
-        for w in bench.arr("workloads").expect("workloads") {
-            let name = w.str("name").expect("workload name");
-            assert!(
-                spec.get("workloads").and_then(|s| s.get(name)).is_some(),
-                "{name} not in spec.json"
-            );
-        }
-    }
 
     #[test]
     fn arguments_parse_and_reject_bad_values() {

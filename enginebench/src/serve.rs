@@ -26,7 +26,7 @@ use ned_serve::{AidaHandler, AnnotateHandler, Service, ServiceConfig, Ticket};
 use ned_text::tokenize;
 use ned_wikigen::corpus::wp_like;
 
-use crate::common::{build_kb, per, stage_ns_between, timed_setup, Ctx, Fp, Outcome};
+use crate::common::{build_kb, per, stage_ns_between, Ctx, Fp, Outcome, Setups};
 use crate::json::{obj, Json};
 use crate::probes::{CountingKb, HandlerTiming, RelRole, SharedHandler, TimedHandler, TimedRel};
 use crate::stats::{
@@ -363,7 +363,10 @@ fn phase<H: AnnotateHandler + 'static>(
     }
 }
 
-/// Runs every phase: light, heavy, then the ladder.
+/// Runs every phase: light, heavy, then the ladder. `between` runs after
+/// each phase, when the service is down, with the share of the phase time
+/// done.
+#[allow(clippy::too_many_arguments)]
 fn all_phases<H: AnnotateHandler + 'static>(
     ctx: &Ctx,
     handler: &Arc<H>,
@@ -372,6 +375,7 @@ fn all_phases<H: AnnotateHandler + 'static>(
     reference: &[Fp],
     metrics: &Metrics,
     clock: TraceClock,
+    between: &mut dyn FnMut(f64),
 ) -> (Phase, Phase, Vec<Phase>) {
     let shares = ctx
         .spec
@@ -386,12 +390,13 @@ fn all_phases<H: AnnotateHandler + 'static>(
         .filter_map(Json::as_f64)
         .collect();
     let mut next_id = 0u64;
-    let mut run = |rate: f64, seconds: f64| {
+    let mut done = 0.0;
+    let mut run = |rate: f64, share: f64| {
         let ph = phase(
             Arc::clone(handler),
             p,
             rate,
-            seconds,
+            ctx.seconds * share,
             next_id,
             &inputs.texts,
             reference,
@@ -399,14 +404,16 @@ fn all_phases<H: AnnotateHandler + 'static>(
             clock,
         );
         next_id += ph.recs.len() as u64;
+        done += share;
+        between(done);
         ph
     };
     // A short warm-up at the light rate starts threads and fills pages;
     // its requests are not reported.
-    let _warm_up = run(ctx.num("light_rps"), ctx.seconds * share("warm_up"));
-    let light = run(ctx.num("light_rps"), ctx.seconds * share("light"));
-    let heavy = run(ctx.num("heavy_rps"), ctx.seconds * share("heavy"));
-    let step = ctx.seconds * share("ladder") / ladder.len().max(1) as f64;
+    let _warm_up = run(ctx.num("light_rps"), share("warm_up"));
+    let light = run(ctx.num("light_rps"), share("light"));
+    let heavy = run(ctx.num("heavy_rps"), share("heavy"));
+    let step = share("ladder") / ladder.len().max(1) as f64;
     let steps = ladder.iter().map(|&rate| run(rate, step)).collect();
     (light, heavy, steps)
 }
@@ -453,10 +460,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
         target: ctx.num("good_share_target"),
     };
     let mut out = Outcome::default();
-    let (inputs, setup_times) = timed_setup(if ctx.trace { 1 } else { ctx.setup_repeats }, || {
-        setup(ctx, &p)
-    });
-    out.metric("setup_s", Summary::of(&setup_times));
+    let (inputs, mut setups) = Setups::first(ctx.setup_repeats(), || setup(ctx, &p));
 
     // Reference answers; the replay also fills the shared cache, as a
     // long-running service's cache would be.
@@ -473,6 +477,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
 
     let clock = TraceClock::new();
     if ctx.trace {
+        setups.finish(&mut out, || setup(ctx, &p));
         traced(ctx, &p, &inputs, &reference, replay_s, clock, &mut out);
         return out;
     }
@@ -484,7 +489,9 @@ pub fn run(ctx: &Ctx) -> Outcome {
         &reference,
         &Metrics::disabled(),
         clock,
+        &mut |share| setups.between(share, || setup(ctx, &p)),
     );
+    setups.finish(&mut out, || setup(ctx, &p));
 
     let mut phases_json = vec![
         phase_json("light", &light, p.limit_ns),
@@ -610,7 +617,16 @@ fn traced(
     // The replay's handler calls are not part of the served phases.
     handler.timings.lock().expect("timing log").clear();
 
-    let (light, heavy, ladder) = all_phases(ctx, &handler, p, inputs, reference, &metrics, clock);
+    let (light, heavy, ladder) = all_phases(
+        ctx,
+        &handler,
+        p,
+        inputs,
+        reference,
+        &metrics,
+        clock,
+        &mut |_| {},
+    );
     let phases: Vec<&Phase> = [&light, &heavy].into_iter().chain(&ladder).collect();
     let mismatches: usize = phases.iter().map(|ph| ph.mismatches()).sum();
     let fixed_failed = light.failed() + heavy.failed();

@@ -27,7 +27,7 @@ use ned_relatedness::MilneWitten;
 use ned_text::Mention;
 use ned_wikigen::news::{generate_stream, NewsConfig};
 
-use crate::common::{build_kb, counter, per, stage_ns_between, timed_setup, Ctx, Fp, Outcome};
+use crate::common::{build_kb, counter, per, stage_ns_between, Ctx, Fp, Outcome, Setups};
 use crate::json::Json;
 use crate::probes::CountingKb;
 use crate::stats::{add_repetition, item_percentile, median, Summary};
@@ -402,9 +402,7 @@ fn wal_path(ctx: &Ctx) -> PathBuf {
 
 pub fn run(ctx: &Ctx) -> Outcome {
     let mut out = Outcome::default();
-    let (inputs, setup_times) =
-        timed_setup(if ctx.trace { 1 } else { ctx.setup_repeats }, || setup(ctx));
-    out.metric("setup_s", Summary::of(&setup_times));
+    let (inputs, mut setups) = Setups::first(ctx.setup_repeats(), || setup(ctx));
     let wal = wal_path(ctx);
 
     // The first pass is the reference (and warm-up); its compaction check
@@ -432,7 +430,9 @@ pub fn run(ctx: &Ctx) -> Outcome {
         bad += u64::from(run.fp != reference.fp) + u64::from(!run.wal_replay_ok);
         out.attempted += run.docs_done as u64;
         runs.push(run);
+        setups.between(start.elapsed().as_secs_f64() / window, || setup(ctx));
     }
+    setups.finish(&mut out, || setup(ctx));
     out.check(
         "wal_replay_equals_mutations",
         reference.wal_replay_ok && runs.iter().all(|r| r.wal_replay_ok),

@@ -227,6 +227,8 @@ pub struct Breakdown {
     /// Total lane time: threads × wall for a batch window, the sum of root
     /// spans otherwise.
     pub lane_ns: u64,
+    /// The sum of root spans, which must fit in the lane time.
+    pub roots_ns: u64,
     /// True when every self time is non-negative, i.e. children fit inside
     /// their parents and aggregated calls inside their spans.
     pub nested: bool,
@@ -308,6 +310,7 @@ pub fn breakdown(spans: &[SpanRec], lane_ns: Option<u64>) -> Breakdown {
         self_ns,
         unattributed_ns: unattributed,
         lane_ns,
+        roots_ns: roots,
         nested,
         agg: total_agg,
     }
