@@ -530,16 +530,19 @@ pub fn run(ctx: &Ctx) -> Outcome {
     out.metric("max_rate_rps", Summary::single(max_rate, ladder.len()));
     // Worker time per full-fidelity request at the fixed rates: each
     // text's median over its requests, percentiles over texts, and
-    // requests per second of worker time. Unlike open-loop latency these
-    // exclude queueing and wake-up delays.
+    // requests per second of worker time with each request charged its
+    // text's median, so a request preempted mid-handler counts at its
+    // text's usual cost. Unlike open-loop latency these exclude queueing
+    // and wake-up delays.
     let mut per_text: Vec<Vec<f64>> = vec![Vec::new(); inputs.texts.len()];
-    let mut busy_s = 0.0;
-    let mut served = 0usize;
     for r in light.recs.iter().chain(&heavy.recs).filter(|r| r.full) {
         per_text[text_of(r.id, 0, inputs.texts.len())].push(r.handler_ns() as f64 / 1e6);
-        busy_s += r.handler_ns() as f64 / 1e9;
-        served += 1;
     }
+    let served: usize = per_text.iter().map(Vec::len).sum();
+    let busy_s: f64 = per_text
+        .iter()
+        .map(|t| t.len() as f64 * median(t) / 1e3)
+        .sum();
     out.metric("handler_p50_ms", item_percentile(&per_text, 50.0));
     out.metric("handler_p99_ms", item_percentile(&per_text, 99.0));
     out.metric(
