@@ -36,6 +36,9 @@ def seeds_of(text):
 
 
 def commit():
+    """BENCH_COMMIT when set, else the checkout's git HEAD, else "unknown"."""
+    if os.environ.get("BENCH_COMMIT"):
+        return os.environ["BENCH_COMMIT"]
     proc = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True, check=False)
     return proc.stdout.strip() if proc.returncode == 0 else "unknown"
 
@@ -44,7 +47,7 @@ def run(command, workload, seed, seconds, trace):
     """One run's last line; a run without one counts as failed."""
     args = command + ["--workload", workload, "--seed", str(seed),
                       "--seconds", str(seconds), "--trace", str(trace)]
-    env = dict(os.environ, BENCH_COMMIT=os.environ.get("BENCH_COMMIT", commit()))
+    env = dict(os.environ, BENCH_COMMIT=commit())
     proc = subprocess.run(args, capture_output=True, text=True, check=False, env=env)
     lines = proc.stdout.strip().splitlines()
     try:
