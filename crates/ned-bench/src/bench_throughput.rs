@@ -29,7 +29,7 @@
 use std::time::Instant;
 
 use ned_kb::FrozenKbStats;
-use ned_obs::{names as obs_names, Metrics, MetricsSnapshot};
+use ned_obs::{Metrics, MetricsSnapshot};
 
 use ned_aida::context::DocumentContext;
 use ned_aida::similarity::{
@@ -37,7 +37,7 @@ use ned_aida::similarity::{
 };
 use ned_aida::{AidaConfig, Disambiguator, KeywordWeighting, SimObs};
 use ned_eval::report::{num, Table};
-use ned_relatedness::{CacheConfig, CachedRelatedness, EvictionPolicy, MilneWitten};
+use ned_relatedness::{CachedRelatedness, MilneWitten};
 
 use crate::alloc_events;
 use crate::runner::{run_method_with_threads, Evaluation};
@@ -66,32 +66,6 @@ struct Run {
     /// quiescent points; exact at 1 thread, scheduling-dependent above).
     alloc_events: u64,
     allocs_per_doc: f64,
-}
-
-/// One row of the hit-rate-vs-memory-cap cache sweep: a single-threaded
-/// pipeline pass with the relatedness cache bounded to `cap_bytes` under
-/// `policy` (`cap_bytes: None` is the unbounded reference row). The
-/// counters come from the run's metrics snapshot, so `cache_check` in CI
-/// re-verifies the same conservation laws the unit harness proves.
-#[derive(Debug, Clone)]
-struct CacheSweepRow {
-    policy: &'static str,
-    cap_bytes: Option<u64>,
-    lookups: u64,
-    hits: u64,
-    misses: u64,
-    inserts: u64,
-    evictions: u64,
-    admit_rejected: u64,
-    stale_discards: u64,
-    live_entries: u64,
-    bytes: u64,
-    peak_bytes: u64,
-    hit_rate: f64,
-    /// The run was executed twice; true when both snapshots matched bitwise.
-    rerun_deterministic: bool,
-    /// Annotation outcomes were byte-identical to the unbounded baseline.
-    outcomes_match_unbounded: bool,
 }
 
 /// One stage's allocation accounting for the report and the ratchet.
@@ -227,79 +201,6 @@ pub fn run(scale: &Scale) {
             "frozen KB path diverged from the legacy KB path"
         );
     }
-
-    // Hit-rate-vs-memory-cap sweep: single-threaded runs per eviction
-    // policy and byte cap, each executed twice — the metrics snapshots
-    // (gauges included) must match bit for bit across reruns, and the
-    // annotation outcomes must equal the unbounded baseline (memoization
-    // is an optimization, never a result). The rows feed `cache_check`.
-    let cache_caps: [Option<u64>; 6] = [
-        Some(256 * 1024),
-        Some(512 * 1024),
-        Some(1 << 20),
-        Some(2 << 20),
-        Some(8 << 20),
-        None,
-    ];
-    let sweep_policies = [EvictionPolicy::Lru, EvictionPolicy::TinyLfuSlru];
-    let mut cache_rows: Vec<CacheSweepRow> = Vec::new();
-    for &policy in &sweep_policies {
-        for &cap in &cache_caps {
-            let config = match cap {
-                Some(bytes) => CacheConfig::bounded(bytes).with_policy(policy),
-                None => CacheConfig::unbounded().with_policy(policy),
-            };
-            let run_once = || {
-                let metrics = Metrics::new();
-                let cached = CachedRelatedness::with_config(
-                    MilneWitten::new(env.frozen.clone()),
-                    &metrics,
-                    config,
-                );
-                let aida = Disambiguator::new(env.frozen.clone(), &cached, AidaConfig::full())
-                    .with_metrics(&metrics);
-                let eval = run_method_with_threads(&aida, docs, 1)
-                    .unwrap_or_else(|e| panic!("cannot build 1-thread pool: {e}"));
-                eval.record_metrics(&metrics);
-                cached.cache().publish_gauges();
-                (eval, metrics.snapshot())
-            };
-            let (eval_a, snap_a) = run_once();
-            let (_, snap_b) = run_once();
-            let rerun_deterministic = snap_a == snap_b;
-            let outcomes_match_unbounded =
-                baseline.as_ref().is_some_and(|b| identical(b, &eval_a));
-            let c = |name: &str| snap_a.counter(name);
-            let hits = c(obs_names::RELATEDNESS_CACHE_HITS);
-            let misses = c(obs_names::RELATEDNESS_CACHE_MISSES);
-            let lookups = hits + misses;
-            cache_rows.push(CacheSweepRow {
-                policy: policy.label(),
-                cap_bytes: cap,
-                lookups,
-                hits,
-                misses,
-                inserts: c(obs_names::RELATEDNESS_CACHE_INSERTS),
-                evictions: c(obs_names::RELATEDNESS_CACHE_EVICTIONS),
-                admit_rejected: c(obs_names::RELATEDNESS_CACHE_ADMIT_REJECTED),
-                stale_discards: c(obs_names::RELATEDNESS_CACHE_STALE_DISCARDS),
-                live_entries: snap_a.gauge(obs_names::RELATEDNESS_CACHE_ENTRIES),
-                bytes: snap_a.gauge(obs_names::RELATEDNESS_CACHE_BYTES),
-                peak_bytes: snap_a.gauge(obs_names::RELATEDNESS_CACHE_BYTES_PEAK),
-                hit_rate: if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 },
-                rerun_deterministic,
-                outcomes_match_unbounded,
-            });
-        }
-    }
-    assert!(
-        cache_rows.iter().all(|r| r.rerun_deterministic),
-        "a bounded cache run was not reproducible"
-    );
-    assert!(
-        cache_rows.iter().all(|r| r.outcomes_match_unbounded),
-        "a bounded cache changed annotation outcomes"
-    );
 
     // Algorithmic speedup of the keyphrase inverted index: score every
     // mention–candidate pair with and without the index, over the frozen
@@ -437,22 +338,6 @@ pub fn run(scale: &Scale) {
         ]);
     }
     print!("{}", table.render());
-    let mut cache_table = Table::new(
-        "Relatedness cache — hit rate vs. memory cap (1 thread)",
-        &["policy", "cap", "hit rate", "evictions", "rejected", "peak bytes", "live"],
-    );
-    for r in &cache_rows {
-        cache_table.add_row(vec![
-            r.policy.to_string(),
-            r.cap_bytes.map_or_else(|| "unbounded".to_string(), |c| c.to_string()),
-            num(r.hit_rate, 4),
-            r.evictions.to_string(),
-            r.admit_rejected.to_string(),
-            r.peak_bytes.to_string(),
-            r.live_entries.to_string(),
-        ]);
-    }
-    print!("{}", cache_table.render());
     println!(
         "keyphrase index: exhaustive {:.3}s vs indexed {:.3}s ({index_speedup:.2}x) vs \
          batched {:.3}s ({batched_speedup:.2}x over indexed); \
@@ -511,7 +396,6 @@ pub fn run(scale: &Scale) {
         metrics_overhead,
         &alloc_stages,
         &pinned,
-        &cache_rows,
     );
     let path = "BENCH_throughput.json";
     match std::fs::write(path, &json) {
@@ -607,7 +491,6 @@ fn render_json(
     metrics_overhead: f64,
     alloc_stages: &[StageAlloc],
     pinned: &PinnedBaseline,
-    cache_rows: &[CacheSweepRow],
 ) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"corpus\": \"conll-like\",\n");
@@ -681,39 +564,6 @@ fn render_json(
     out.push_str(&metrics_counters_json(snapshot, "    "));
     out.push_str("  },\n");
     out.push_str(&format!(
-        "  \"cache_sweep\": {{\n    \"entry_bytes\": {},\n    \"rows\": [\n",
-        ned_relatedness::ENTRY_BYTES
-    ));
-    for (i, r) in cache_rows.iter().enumerate() {
-        let cap = r.cap_bytes.map_or_else(|| "null".to_string(), |c| c.to_string());
-        out.push_str(&format!(
-            "      {{\"policy\": \"{}\", \"cap_bytes\": {}, \"bounded\": {}, \
-             \"lookups\": {}, \"hits\": {}, \"misses\": {}, \"inserts\": {}, \
-             \"evictions\": {}, \"admit_rejected\": {}, \"stale_discards\": {}, \
-             \"live_entries\": {}, \"bytes\": {}, \"peak_bytes\": {}, \
-             \"hit_rate\": {:.6}, \"rerun_deterministic\": {}, \
-             \"outcomes_match_unbounded\": {}}}{}\n",
-            r.policy,
-            cap,
-            r.cap_bytes.is_some(),
-            r.lookups,
-            r.hits,
-            r.misses,
-            r.inserts,
-            r.evictions,
-            r.admit_rejected,
-            r.stale_discards,
-            r.live_entries,
-            r.bytes,
-            r.peak_bytes,
-            r.hit_rate,
-            r.rerun_deterministic,
-            r.outcomes_match_unbounded,
-            if i + 1 < cache_rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("    ]\n  },\n");
-    out.push_str(&format!(
         "  \"metrics_deterministic_across_thread_counts\": {metrics_deterministic},\n"
     ));
     out.push_str(&format!("  \"deterministic_across_thread_counts\": {deterministic}\n"));
@@ -784,54 +634,10 @@ mod tests {
             measured_ns_per_doc: 500_000.0,
             speedup_vs_pinned: 1.48,
         };
-        let cache_rows = vec![
-            CacheSweepRow {
-                policy: "lru",
-                cap_bytes: Some(262_144),
-                lookups: 1000,
-                hits: 600,
-                misses: 400,
-                inserts: 380,
-                evictions: 300,
-                admit_rejected: 20,
-                stale_discards: 0,
-                live_entries: 80,
-                bytes: 7680,
-                peak_bytes: 262_080,
-                hit_rate: 0.6,
-                rerun_deterministic: true,
-                outcomes_match_unbounded: true,
-            },
-            CacheSweepRow {
-                policy: "tinylfu_slru",
-                cap_bytes: None,
-                lookups: 1000,
-                hits: 700,
-                misses: 300,
-                inserts: 300,
-                evictions: 0,
-                admit_rejected: 0,
-                stale_discards: 0,
-                live_entries: 300,
-                bytes: 28800,
-                peak_bytes: 28800,
-                hit_rate: 0.7,
-                rerun_deterministic: true,
-                outcomes_match_unbounded: true,
-            },
-        ];
         let json = render_json(
             20, 100, &runs, &sim, true, &stats, &snapshot, true, 1.9, 1.05, &stages, &pinned,
-            &cache_rows,
         );
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"cache_sweep\""));
-        assert!(json.contains("\"entry_bytes\": 96"));
-        assert!(json.contains("\"policy\": \"lru\""));
-        assert!(json.contains("\"cap_bytes\": 262144"));
-        assert!(json.contains("\"cap_bytes\": null, \"bounded\": false"));
-        assert!(json.contains("\"rerun_deterministic\": true"));
-        assert!(json.contains("\"outcomes_match_unbounded\": true"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(json.contains("\"threads\": 4"));
         assert!(json.contains("\"failed_docs\": 2"));

@@ -14,10 +14,6 @@
 //!   annotate --deadline-ms 5 "…"  # per-request deadline (tight deadlines
 //!                                 # degrade joint → no-coherence → prior)
 //!   annotate --threads 4 "text"   # service worker threads
-//!   annotate --cache-mb 2 "text"  # bound the relatedness cache to N MiB
-//!                                 # (segmented-LRU with frequency
-//!                                 # admission; 0 disables caching,
-//!                                 # omitted = unbounded)
 //!   annotate --wal live.wal "…"   # replay an incremental-KB WAL over the
 //!                                 # frozen base and annotate against the
 //!                                 # resulting delta overlay (promoted
@@ -29,7 +25,7 @@ use ned_aida::classification::TypeClassifier;
 use ned_aida::{AidaConfig, JointConfig};
 use ned_kb::{DeltaKb, FrozenKb, KbEpoch, KbView, Wal};
 use ned_obs::Metrics;
-use ned_relatedness::{CacheConfig, CachedRelatedness, MilneWitten};
+use ned_relatedness::{CachedRelatedness, MilneWitten};
 use ned_serve::{AidaHandler, ServeRequest, Service, ServiceConfig};
 use ned_text::tokenize;
 use ned_wikigen::config::WorldConfig;
@@ -68,7 +64,6 @@ fn main() {
     let seed = take_value_flag(&mut args, "--seed").unwrap_or(2024);
     let deadline_ms = take_value_flag(&mut args, "--deadline-ms");
     let threads = take_value_flag(&mut args, "--threads").unwrap_or(2).max(1) as usize;
-    let cache_mb = take_value_flag(&mut args, "--cache-mb");
     let wal_path = take_string_flag(&mut args, "--wal");
     let show_metrics = if let Some(pos) = args.iter().position(|a| a == "--metrics") {
         args.remove(pos);
@@ -121,15 +116,8 @@ fn main() {
     );
 
     let metrics = Metrics::new();
-    let cache_config = match cache_mb {
-        Some(mb) => CacheConfig::bounded(mb.saturating_mul(1024 * 1024)),
-        None => CacheConfig::unbounded(),
-    };
-    let relatedness = Arc::new(CachedRelatedness::with_config(
-        MilneWitten::new(kb.clone()),
-        &metrics,
-        cache_config,
-    ));
+    let relatedness =
+        Arc::new(CachedRelatedness::with_metrics(MilneWitten::new(kb.clone()), &metrics));
     let handler =
         AidaHandler::try_new(kb.clone(), relatedness, AidaConfig::full(), JointConfig::default())
             .unwrap_or_else(|e| {

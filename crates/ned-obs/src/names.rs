@@ -59,36 +59,22 @@ pub const AIDA_DEGRADATION_PRIOR_ONLY: &str = "aida_degradation_prior_only";
 
 // --- relatedness cache (ned-relatedness) ------------------------------
 
-/// Lookups served from the cache.
+/// Lookups served from the pair memo (a racing duplicate insert counts as a
+/// hit).
 pub const RELATEDNESS_CACHE_HITS: &str = "relatedness_cache_hits";
-/// Lookups that computed a fresh value (first arrival wins a racing pair).
-/// Every miss resolves to exactly one of insert / admit-reject /
-/// stale-discard, so `misses == inserts + admit_rejected + stale_discards`.
+/// Lookups that computed a fresh value. Every miss resolves to exactly one
+/// of insert / stale-discard, so `misses == inserts + stale_discards`.
 pub const RELATEDNESS_CACHE_MISSES: &str = "relatedness_cache_misses";
-/// Entries written into the cache.
+/// Entries written into the memo.
 pub const RELATEDNESS_CACHE_INSERTS: &str = "relatedness_cache_inserts";
-/// Lookups whose freshly computed value was rejected by the admission
-/// policy (or by a zero byte cap) — the value is still returned, just not
-/// memoized. Replaces the retired `relatedness_cache_full` starvation path.
-pub const RELATEDNESS_CACHE_ADMIT_REJECTED: &str = "relatedness_cache_admit_rejected";
-/// Entries dropped from the cache: policy evictions plus wholesale drops
-/// from `clear`/generation invalidation, so
-/// `evictions + live_entries == inserts` holds exactly.
+/// Entries dropped from the memo by generation advances and `clear` (the
+/// memo never evicts on its own), so `evictions + live_entries == inserts`
+/// holds exactly.
 pub const RELATEDNESS_CACHE_EVICTIONS: &str = "relatedness_cache_evictions";
 /// Inserts discarded because the KB generation moved between the lookup's
 /// probe and its insert — a stale score must never land after
 /// `advance_generation` returns.
 pub const RELATEDNESS_CACHE_STALE_DISCARDS: &str = "relatedness_cache_stale_discards";
-/// Gauge: bytes currently charged to cached pairs (set by
-/// `publish_gauges`, like the evaluation counters — explicit publication
-/// keeps snapshots interleaving-independent).
-pub const RELATEDNESS_CACHE_BYTES: &str = "relatedness_cache_bytes";
-/// Gauge: high-water mark of charged bytes, summed over shards (each
-/// shard's peak is bounded by its slice of the cap, so the sum never
-/// exceeds the configured byte cap).
-pub const RELATEDNESS_CACHE_BYTES_PEAK: &str = "relatedness_cache_bytes_peak";
-/// Gauge: pairs currently cached (set by `publish_gauges`).
-pub const RELATEDNESS_CACHE_ENTRIES: &str = "relatedness_cache_entries";
 
 // --- snapshot loading (ned-kb) ----------------------------------------
 

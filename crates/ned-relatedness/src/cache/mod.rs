@@ -1,630 +1,257 @@
-//! Memoizing pair cache for relatedness measures, with bounded memory.
-//!
-//! The AIDA graph algorithm queries the same entity pair repeatedly while
-//! weights are rescaled and the subgraph shrinks; caching turns repeated
-//! exact computations into hash lookups. A long-running service touches
-//! millions of distinct pairs, so the cache is size-aware: a configurable
-//! byte cap ([`CacheConfig::max_bytes`]) is enforced by pluggable eviction
-//! ([`EvictionPolicy`], default segmented LRU behind a frequency-admission
-//! gate) with flat per-entry byte accounting ([`size::ENTRY_BYTES`]).
-//!
-//! The module splits along the tentpole seams: [`policy`] holds the
-//! eviction/admission state machines, [`size`] the byte accounting, and a
-//! private metrics module the counter plumbing. [`PairCache`] is the
-//! policy-driven concurrent map; [`CachedRelatedness`] wraps it around any
-//! [`Relatedness`] measure.
-//!
-//! # Determinism contract
-//!
-//! Eviction order is a pure function of the access sequence. All policy
-//! state is per-shard; recency is the shard's logical access index (no
-//! ambient clock — see [`policy`]); victims are totally ordered by
-//! `(last-access index, key)`. Keys shard by [`shard_index`], so any
-//! driver that replays each shard's access sub-sequence in order — on any
-//! number of threads that partition the shards — reproduces hit/miss/evict
-//! sequences and counter totals bit-identically. The model harness in
-//! `tests/cache_model.rs` replays generated traces against a reference
-//! oracle and asserts exactly that.
-//!
-//! Accounting is deterministic the same way the unbounded cache's always
-//! was: a lookup counts as a miss only when its second visit completes
-//! under the shard's write lock, so every completed lookup is exactly one
-//! hit or one miss, and every miss resolves to exactly one of insert /
-//! admit-reject / stale-discard. The conservation laws
-//! (`lookups == hits + misses`, `misses == inserts + admit_rejected +
-//! stale_discards`, `evictions + live_entries == inserts`,
-//! `bytes <= cap`) hold under any interleaving.
-//!
-//! # Generations
-//!
-//! [`PairCache::advance_generation`] composes invalidation with eviction:
-//! the tag moves first, then every shard is cleared (dropped entries count
-//! as evictions, keeping the conservation laws exact). A lookup records
-//! the tag at its start and re-checks it under the write lock before
-//! inserting; if the tag moved mid-lookup the insert is discarded
-//! (`relatedness_cache_stale_discards`), so once `advance_generation`
-//! returns no stale-generation value can ever be served from the cache.
-//!
-//! The cache holds plain memoized floats, so a shard whose lock was
-//! poisoned by a panicking worker is still structurally sound. Every lock
-//! acquisition recovers from poison instead of propagating it — one
-//! crashed document must not wedge the shared cache for the rest of the
-//! batch.
-
-mod metrics;
-pub mod policy;
-pub mod size;
+//! The relatedness pair memo: one unbounded, sharded, generation-tagged
+//! map from canonical entity pairs to scores, in front of any
+//! [`Relatedness`] measure. [`CachedRelatedness`] documents the contract.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use ned_kb::fx::FxHashMap;
 use ned_kb::EntityId;
-use ned_obs::Metrics;
+use ned_obs::{names, Counter, Metrics};
 
 use crate::traits::Relatedness;
-use metrics::{CacheCounters, CacheGauges};
-pub use policy::{EvictionPolicy, PairKey, PolicyShard};
-pub use size::ENTRY_BYTES;
 
-/// Number of independent shards (fixed, so shard assignment — and with it
-/// the determinism contract — never depends on configuration).
-pub const SHARD_COUNT: usize = 16;
+/// Number of independent lock shards.
+const SHARD_COUNT: usize = 16;
 
-/// Canonicalizes an entity pair to the `(min, max)` key all symmetric
-/// measures share.
-pub fn canonical_key(a: EntityId, b: EntityId) -> PairKey {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
+/// A canonical `(min, max)` entity pair.
+type PairKey = (EntityId, EntityId);
+
+type Shard = RwLock<FxHashMap<PairKey, f64>>;
+
+fn read(shard: &Shard) -> RwLockReadGuard<'_, FxHashMap<PairKey, f64>> {
+    shard.read().unwrap_or_else(|e| e.into_inner())
+}
+
+fn write(shard: &Shard) -> RwLockWriteGuard<'_, FxHashMap<PairKey, f64>> {
+    shard.write().unwrap_or_else(|e| e.into_inner())
+}
+
+/// How a miss's second visit under the write lock resolved.
+enum Resolved {
+    /// A racing worker inserted first; its value is served.
+    Raced(f64),
+    Inserted,
+    /// The generation moved mid-lookup; the value is returned uncached.
+    Stale,
+}
+
+/// A relatedness measure with an unbounded, sharded, generation-tagged
+/// pair memo in front of it.
+///
+/// The AIDA graph algorithm queries the same entity pair repeatedly while
+/// weights are rescaled and the subgraph shrinks; memoizing turns repeated
+/// exact computations into hash lookups. Every distinct pair is computed
+/// once per KB generation.
+///
+/// # Why no bound
+///
+/// The memo only ever holds pairs of co-candidate entities scored against
+/// one KB generation, and every generation change empties it. Its size is
+/// therefore bounded by the number of distinct co-candidate pairs of one
+/// KB generation (DESIGN.md §16), not by a byte cap.
+///
+/// # Symmetry
+///
+/// The memo stores each pair under its canonical `(min, max)` key and
+/// serves both orientations from that entry. Wrapped measures must be
+/// bitwise symmetric (`r(a, b).to_bits() == r(b, a).to_bits()`), otherwise
+/// whichever orientation a run happens to compute first would decide the
+/// bits every later lookup sees.
+///
+/// # Concurrency and accounting
+///
+/// Pairs live in 16 `RwLock` shards. A lookup probes under the read lock;
+/// on a miss it computes with no lock held, then re-probes under the write
+/// lock: a racing worker that inserted first turns the lookup into a hit
+/// and the duplicate computation is discarded. Counters are bumped after
+/// the guard drops. Every completed lookup is exactly one hit or one miss
+/// and every miss is exactly one insert or one stale discard, so
+/// `lookups == hits + misses`, `misses == inserts + stale_discards` and
+/// `inserts == evictions + len` hold under any interleaving. A lookup whose
+/// compute panicked counts nothing.
+///
+/// # Generations
+///
+/// [`advance_generation`](Self::advance_generation) moves the generation tag
+/// first, then clears every shard (dropped entries count as evictions). A
+/// lookup records the tag at its start and re-checks it under the write
+/// lock before inserting; if the tag moved mid-lookup the insert is
+/// discarded (`relatedness_cache_stale_discards`), so once
+/// `advance_generation` returns no stale-generation value can ever be
+/// served from the memo.
+///
+/// The memo holds plain floats, so a shard whose lock was poisoned by a
+/// panicking worker is still structurally sound. Every lock acquisition
+/// recovers from poison instead of propagating it: one crashed document
+/// must not wedge the shared memo for the rest of the batch.
+// Manual Debug: `M` need not be Debug.
+pub struct CachedRelatedness<M> {
+    inner: M,
+    shards: Vec<Shard>,
+    /// KB generation the memoized pairs were computed against.
+    generation: AtomicU64,
+    hits: Counter,
+    misses: Counter,
+    inserts: Counter,
+    evictions: Counter,
+    stale_discards: Counter,
+}
+
+impl<M> std::fmt::Debug for CachedRelatedness<M> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CachedRelatedness")
+            .field("generation", &self.generation.load(Ordering::Acquire))
+            .field("len", &self.len())
+            .finish_non_exhaustive()
     }
 }
 
-/// The shard a canonical key lives in. Public so deterministic drivers
-/// (and the model-test oracle) can partition work by shard.
-pub fn shard_index(key: PairKey) -> usize {
-    (key.0 .0 as usize ^ (key.1 .0 as usize).rotate_left(16)) % SHARD_COUNT
-}
-
-/// How a [`PairCache`] is bounded and which policy enforces the bound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheConfig {
-    /// Total byte cap across all shards; `None` is unbounded. Entries are
-    /// charged a flat [`ENTRY_BYTES`], so the entry capacity is
-    /// `max_bytes / ENTRY_BYTES` (a cap below one entry caches nothing).
-    pub max_bytes: Option<u64>,
-    /// Eviction/admission policy for bounded caches (ignored when
-    /// unbounded).
-    pub policy: EvictionPolicy,
-}
-
-impl CacheConfig {
-    /// No byte cap: every computed pair is memoized (the default).
-    pub fn unbounded() -> Self {
-        CacheConfig::default()
+impl<M> CachedRelatedness<M> {
+    /// Wraps `inner` with an empty memo and a private metrics registry.
+    pub fn new(inner: M) -> Self {
+        Self::with_metrics(inner, &Metrics::new())
     }
 
-    /// A byte cap enforced by the default policy
-    /// ([`EvictionPolicy::TinyLfuSlru`]).
-    pub fn bounded(max_bytes: u64) -> Self {
-        CacheConfig { max_bytes: Some(max_bytes), policy: EvictionPolicy::default() }
-    }
-
-    /// Same bound, explicit policy.
-    pub fn with_policy(mut self, policy: EvictionPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-}
-
-/// What one completed lookup did, in the order it did it. Returned by
-/// [`PairCache::get_or_insert_with`] so the model harness can compare the
-/// real cache against its oracle event-by-event; exactly one of
-/// `hit` / `inserted` / `admit_rejected` / `stale_discarded` is set on
-/// every completed lookup.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct LookupEvents {
-    /// Served from the cache (including a racing duplicate insert).
-    pub hit: bool,
-    /// The freshly computed value was admitted and memoized.
-    pub inserted: bool,
-    /// The freshly computed value was rejected by the admission policy or
-    /// an unmeetable byte cap (returned to the caller, not memoized).
-    pub admit_rejected: bool,
-    /// The insert was discarded because the KB generation moved between
-    /// the lookup's probe and its insert.
-    pub stale_discarded: bool,
-    /// Keys evicted to make room, in eviction order (empty unless
-    /// `inserted`).
-    pub evicted: Vec<PairKey>,
-}
-
-/// One shard: the memoized pairs plus the policy/byte state guarding them.
-/// Everything behind one lock, so the per-shard invariants (policy books
-/// exactly the map's keys; `bytes == len * ENTRY_BYTES <= cap`) hold at
-/// every guard drop.
-#[derive(Debug)]
-struct Shard {
-    map: FxHashMap<PairKey, f64>,
-    /// Present iff the cache is bounded.
-    policy: Option<Box<dyn PolicyShard>>,
-    /// This shard's slice of the global byte cap (`None` = unbounded).
-    cap_bytes: Option<u64>,
-    bytes: u64,
-    bytes_peak: u64,
-    /// Logical access index: advances once per completed access.
-    clock: u64,
-}
-
-impl Shard {
-    fn new(cap_bytes: Option<u64>, policy_kind: EvictionPolicy) -> Self {
-        let policy =
-            cap_bytes.map(|cap| policy::build_policy(policy_kind, size::entries_under(cap)));
-        Shard { map: FxHashMap::default(), policy, cap_bytes, bytes: 0, bytes_peak: 0, clock: 0 }
-    }
-
-    /// Records a hit at the next access index.
-    fn note_hit(&mut self, key: PairKey) {
-        self.clock += 1;
-        let at = self.clock;
-        if let Some(p) = self.policy.as_mut() {
-            p.on_hit(key, at);
+    /// Wraps `inner` with an empty memo, recording the cache counters into
+    /// the given registry (pass [`Metrics::disabled`] to skip accounting
+    /// entirely). The counters are registered eagerly so every snapshot
+    /// carries the full set, zeros included.
+    pub fn with_metrics(inner: M, metrics: &Metrics) -> Self {
+        CachedRelatedness {
+            inner,
+            shards: (0..SHARD_COUNT).map(|_| Shard::default()).collect(),
+            generation: AtomicU64::new(0),
+            hits: metrics.counter(names::RELATEDNESS_CACHE_HITS),
+            misses: metrics.counter(names::RELATEDNESS_CACHE_MISSES),
+            inserts: metrics.counter(names::RELATEDNESS_CACHE_INSERTS),
+            evictions: metrics.counter(names::RELATEDNESS_CACHE_EVICTIONS),
+            stale_discards: metrics.counter(names::RELATEDNESS_CACHE_STALE_DISCARDS),
         }
     }
 
-    /// Makes room for `key`, appending evicted keys to `events.evicted`.
-    /// Returns whether the key was admitted. Terminates because every
-    /// iteration either returns or strictly shrinks the resident set.
-    fn make_room(&mut self, key: PairKey, events: &mut LookupEvents) -> bool {
-        let Some(cap) = self.cap_bytes else {
-            return true;
-        };
-        let Some(p) = self.policy.as_mut() else {
-            // Bounded shards always carry a policy; degrade to rejecting.
-            return false;
-        };
-        p.on_candidate(key);
-        while self.bytes.saturating_add(ENTRY_BYTES) > cap {
-            let Some(victim) = p.victim() else {
-                // Nothing left to evict and still no room: the cap is
-                // below one entry.
-                return false;
-            };
-            if !p.admits(key, victim) {
-                return false;
-            }
-            p.on_evict(victim);
-            if self.map.remove(&victim).is_some() {
-                self.bytes = self.bytes.saturating_sub(ENTRY_BYTES);
-            }
-            events.evicted.push(victim);
-        }
-        true
-    }
-
-    /// Admits `key -> value` (room already made) at the next access index.
-    fn insert(&mut self, key: PairKey, value: f64) {
-        self.clock += 1;
-        let at = self.clock;
-        self.map.insert(key, value);
-        self.bytes = self.bytes.saturating_add(ENTRY_BYTES);
-        self.bytes_peak = self.bytes_peak.max(self.bytes);
-        if let Some(p) = self.policy.as_mut() {
-            p.on_insert(key, at);
-        }
-    }
-
-    /// Drops every entry (generation advance / clear), returning how many
-    /// were dropped so the caller can count them as evictions. The logical
-    /// clock keeps running — access indexes stay unique for the shard's
-    /// lifetime.
-    fn drop_all(&mut self) -> u64 {
-        let dropped = self.map.len() as u64;
-        self.map.clear();
-        self.bytes = 0;
-        if let Some(p) = self.policy.as_mut() {
-            p.clear();
-        }
-        dropped
-    }
-}
-
-/// A sharded, policy-bounded, generation-tagged concurrent map from
-/// canonical entity pairs to scores. The reusable core under
-/// [`CachedRelatedness`]; public so test harnesses and benches can drive
-/// it directly with a pure compute function.
-#[derive(Debug)]
-pub struct PairCache {
-    shards: Vec<RwLock<Shard>>,
-    config: CacheConfig,
-    /// KB generation the cached pairs were computed against.
-    kb_generation: AtomicU64,
-    counters: CacheCounters,
-    gauges: CacheGauges,
-}
-
-impl PairCache {
-    /// An empty cache with the given bound/policy, its counters and
-    /// gauges registered in `metrics` (pass [`Metrics::disabled`] to skip
-    /// accounting).
-    pub fn new(config: CacheConfig, metrics: &Metrics) -> Self {
-        let caps: Vec<Option<u64>> = match config.max_bytes {
-            None => vec![None; SHARD_COUNT],
-            Some(total) => {
-                size::shard_byte_caps(total, SHARD_COUNT).into_iter().map(Some).collect()
-            }
-        };
-        PairCache {
-            shards: caps.into_iter().map(|c| RwLock::new(Shard::new(c, config.policy))).collect(),
-            config,
-            kb_generation: AtomicU64::new(0),
-            counters: CacheCounters::new(metrics),
-            gauges: CacheGauges::new(metrics),
-        }
-    }
-
-    /// The configuration this cache was built with.
-    pub fn config(&self) -> CacheConfig {
-        self.config
-    }
-
-    /// The configured byte cap (`None` when unbounded).
-    pub fn capacity_bytes(&self) -> Option<u64> {
-        self.config.max_bytes
-    }
-
-    /// Looks `(a, b)` up (symmetric: the pair is canonicalized), calling
-    /// `compute` outside any lock on a miss. Returns the score plus what
-    /// the lookup did.
-    ///
-    /// Two-phase protocol: the probe visit serves hits; a miss computes
-    /// with no lock held, then a second visit under the write lock
-    /// re-probes (a racing worker may have inserted first — that counts
-    /// as a hit and the duplicate computation is discarded), re-checks the
-    /// generation tag, and runs admission/eviction. Counters are bumped
-    /// after the guard drops; the critical section covers only the shard.
-    pub fn get_or_insert_with<F: FnOnce() -> f64>(
-        &self,
-        a: EntityId,
-        b: EntityId,
-        compute: F,
-    ) -> (f64, LookupEvents) {
-        let key = canonical_key(a, b);
-        let idx = shard_index(key);
-        let mut events = LookupEvents::default();
+    /// Looks `(a, b)` up under its canonical key, calling `compute` with no
+    /// lock held on a miss.
+    fn get_or_insert_with(&self, a: EntityId, b: EntityId, compute: impl FnOnce() -> f64) -> f64 {
+        let key = if a <= b { (a, b) } else { (b, a) };
+        let idx = (key.0 .0 as usize ^ (key.1 .0 as usize).rotate_left(16)) % SHARD_COUNT;
         let Some(shard) = self.shards.get(idx) else {
-            // `shard_index` reduces mod SHARD_COUNT, so this arm is
-            // unreachable; degrade to the uncached compute.
-            return (compute(), events);
+            // `idx` is reduced mod SHARD_COUNT, so this arm is unreachable;
+            // degrade to the uncached compute.
+            return compute();
         };
-        let gen_at_start = self.kb_generation.load(Ordering::Acquire);
-        if self.config.max_bytes.is_none() {
-            // Unbounded: hits need no recency bookkeeping, so the probe
-            // stays on the cheap read lock (the legacy fast path).
-            let cached = shard.read().unwrap_or_else(|e| e.into_inner()).map.get(&key).copied();
-            if let Some(v) = cached {
-                events.hit = true;
-                self.counters.apply(&events);
-                return (v, events);
-            }
-        } else {
-            // Bounded: a hit moves recency state, so probe under the
-            // write lock.
-            let cached = {
-                let mut g = shard.write().unwrap_or_else(|e| e.into_inner());
-                let probed = g.map.get(&key).copied();
-                if probed.is_some() {
-                    g.note_hit(key);
-                }
-                probed
-            };
-            if let Some(v) = cached {
-                events.hit = true;
-                self.counters.apply(&events);
-                return (v, events);
-            }
+        let gen_at_start = self.generation.load(Ordering::Acquire);
+        let cached = read(shard).get(&key).copied();
+        if let Some(v) = cached {
+            self.hits.inc();
+            return v;
         }
         let v = compute();
-        let value = {
-            let mut g = shard.write().unwrap_or_else(|e| e.into_inner());
-            if let Some(&existing) = g.map.get(&key) {
-                // A racing worker inserted first; this lookup is a hit and
-                // the duplicate computation is discarded (pure measures,
-                // same value).
-                g.note_hit(key);
-                events.hit = true;
-                existing
-            } else if self.kb_generation.load(Ordering::Acquire) != gen_at_start {
-                // The KB generation moved while we computed: the value may
-                // be stale, so it must not outlive this lookup in the
-                // cache. Returning it is fine — the lookup overlapped the
-                // swap — but memoizing it would serve stale scores forever.
-                events.stale_discarded = true;
-                v
-            } else if g.make_room(key, &mut events) {
-                g.insert(key, v);
-                events.inserted = true;
-                v
+        let resolved = {
+            let mut map = write(shard);
+            if let Some(&existing) = map.get(&key) {
+                Resolved::Raced(existing)
+            } else if self.generation.load(Ordering::Acquire) != gen_at_start {
+                // The value may be stale. Returning it is fine (the lookup
+                // overlapped the swap); memoizing it would serve it forever.
+                Resolved::Stale
             } else {
-                events.admit_rejected = true;
-                v
+                map.insert(key, v);
+                Resolved::Inserted
             }
         };
-        self.counters.apply(&events);
-        (value, events)
+        match resolved {
+            Resolved::Raced(existing) => {
+                self.hits.inc();
+                existing
+            }
+            Resolved::Inserted => {
+                self.misses.inc();
+                self.inserts.inc();
+                v
+            }
+            Resolved::Stale => {
+                self.misses.inc();
+                self.stale_discards.inc();
+                v
+            }
+        }
     }
 
-    /// The KB generation the cached pairs were computed against.
-    pub fn generation(&self) -> u64 {
-        self.kb_generation.load(Ordering::Acquire)
-    }
-
-    /// Tags the cache with the KB generation it is serving. When the tag
-    /// moves, every memoized pair is dropped (counted as evictions) and
-    /// any in-flight insert that started under the old tag is discarded —
-    /// stale scores must never survive a swap. Returns true when the
-    /// cache was invalidated.
+    /// Tags the memo with the KB generation it is serving (e.g. from
+    /// `ned_kb::KbHandle::generation`). When the tag moves, every memoized
+    /// pair is dropped (counted as evictions) and any in-flight insert that
+    /// started under the old tag is discarded. Returns true when the memo
+    /// was invalidated.
     ///
     /// Callers sequence this *before* computing against the new KB (swap →
     /// advance → score), so a racing worker can at worst re-insert a value
-    /// computed against the new epoch — never resurrect an old one.
+    /// computed against the new epoch, never resurrect an old one.
     pub fn advance_generation(&self, generation: u64) -> bool {
-        if self.kb_generation.swap(generation, Ordering::AcqRel) == generation {
+        if self.generation.swap(generation, Ordering::AcqRel) == generation {
             return false;
         }
         self.clear();
         true
     }
 
-    /// Drops all cached pairs. Dropped entries count as evictions so the
-    /// `evictions + live_entries == inserts` conservation law stays exact;
-    /// the other counters keep accumulating.
+    /// Drops all memoized pairs. Dropped entries count as evictions so
+    /// `inserts == evictions + len` stays exact.
     pub fn clear(&self) {
         let mut dropped = 0u64;
         for shard in &self.shards {
-            dropped += shard.write().unwrap_or_else(|e| e.into_inner()).drop_all();
+            let mut map = write(shard);
+            dropped += map.len() as u64;
+            map.clear();
         }
-        if dropped > 0 {
-            self.counters.evictions.add(dropped);
-        }
+        self.evictions.add(dropped);
     }
 
-    /// Number of cached pairs.
+    /// Number of memoized pairs.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().unwrap_or_else(|e| e.into_inner()).map.len()).sum()
+        self.shards.iter().map(|s| read(s).len()).sum()
     }
 
-    /// True if nothing is cached.
+    /// True if nothing is memoized.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Bytes currently charged to cached pairs (always `<=` the cap: each
-    /// shard enforces its slice under its own lock).
-    pub fn bytes_used(&self) -> u64 {
-        self.shards.iter().map(|s| s.read().unwrap_or_else(|e| e.into_inner()).bytes).sum()
-    }
-
-    /// High-water mark of charged bytes (sum of per-shard peaks, so also
-    /// `<=` the cap).
-    pub fn bytes_peak(&self) -> u64 {
-        self.shards.iter().map(|s| s.read().unwrap_or_else(|e| e.into_inner()).bytes_peak).sum()
-    }
-
-    /// Every cached pair, sorted by key — the model harness compares this
-    /// against its oracle's final contents. Sorting makes the result
-    /// independent of hash-map iteration order.
-    pub fn contents(&self) -> Vec<(PairKey, f64)> {
-        let mut out: Vec<(PairKey, f64)> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            let g = shard.read().unwrap_or_else(|e| e.into_inner());
-            // ned-lint: allow(d1) — sorted by key below before returning
-            out.extend(g.map.iter().map(|(&k, &v)| (k, v)));
-        }
-        out.sort_unstable_by_key(|x| x.0);
-        out
-    }
-
-    /// Publishes the byte/occupancy gauges (`relatedness_cache_bytes`,
-    /// `_bytes_peak`, `_entries`) from the current shard state. Explicit
-    /// publication — like the evaluation counters — keeps snapshots
-    /// interleaving-independent: call it at a quiescent point, then
-    /// snapshot.
-    pub fn publish_gauges(&self) {
-        let (mut bytes, mut peak, mut entries) = (0u64, 0u64, 0u64);
-        for shard in &self.shards {
-            let g = shard.read().unwrap_or_else(|e| e.into_inner());
-            bytes += g.bytes;
-            peak += g.bytes_peak;
-            entries += g.map.len() as u64;
-        }
-        self.gauges.bytes.set(bytes);
-        self.gauges.bytes_peak.set(peak);
-        self.gauges.entries.set(entries);
-    }
-
-    /// Lookups served from the cache so far.
+    /// Lookups served from the memo so far (including racing duplicates).
     pub fn hits(&self) -> u64 {
-        self.counters.hits.value()
+        self.hits.value()
     }
 
     /// Lookups that computed a fresh value so far.
     pub fn misses(&self) -> u64 {
-        self.counters.misses.value()
+        self.misses.value()
     }
 
     /// Entries written so far.
     pub fn inserts(&self) -> u64 {
-        self.counters.inserts.value()
+        self.inserts.value()
     }
 
-    /// Entries dropped so far (policy evictions plus invalidation drops).
+    /// Entries dropped so far by generation advances and `clear`.
     pub fn evictions(&self) -> u64 {
-        self.counters.evictions.value()
-    }
-
-    /// Lookups whose insert was rejected by the admission policy so far.
-    pub fn admit_rejected(&self) -> u64 {
-        self.counters.admit_rejected.value()
+        self.evictions.value()
     }
 
     /// Inserts discarded because the generation moved mid-lookup so far.
     pub fn stale_discards(&self) -> u64 {
-        self.counters.stale_discards.value()
+        self.stale_discards.value()
     }
 
-    /// Fraction of lookups served from the cache, in [0, 1]; 0 when no
+    /// Fraction of lookups served from the memo, in [0, 1]; 0 when no
     /// lookups happened.
     pub fn hit_rate(&self) -> f64 {
-        let hits = self.counters.hits.value();
-        let total = hits + self.counters.misses.value();
+        let hits = self.hits();
+        let total = hits + self.misses();
         if total == 0 {
             0.0
         } else {
             hits as f64 / total as f64
         }
-    }
-}
-
-/// A relatedness measure with an internal [`PairCache`].
-// Manual Debug: `M` need not be Debug.
-pub struct CachedRelatedness<M> {
-    inner: M,
-    cache: PairCache,
-}
-
-impl<M> std::fmt::Debug for CachedRelatedness<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CachedRelatedness")
-            .field("cache", &self.cache)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<M: Relatedness> CachedRelatedness<M> {
-    /// Wraps `inner` with an empty unbounded cache and a private metrics
-    /// registry.
-    pub fn new(inner: M) -> Self {
-        Self::with_metrics(inner, &Metrics::new())
-    }
-
-    /// Wraps `inner` with an empty unbounded cache, recording the cache
-    /// counters into the given registry (pass [`Metrics::disabled`] to
-    /// skip accounting entirely).
-    pub fn with_metrics(inner: M, metrics: &Metrics) -> Self {
-        Self::with_config(inner, metrics, CacheConfig::unbounded())
-    }
-
-    /// Wraps `inner` with a cache bounded and policed per `config`.
-    pub fn with_config(inner: M, metrics: &Metrics, config: CacheConfig) -> Self {
-        CachedRelatedness { inner, cache: PairCache::new(config, metrics) }
-    }
-
-    /// Back-compat shim for the PR-7 entry-cap constructor: `max_entries`
-    /// becomes a byte cap of `max_entries * ENTRY_BYTES` under the default
-    /// policy (`usize::MAX` stays unbounded). Where the old cache stopped
-    /// memoizing at capacity forever (the cap-full starvation bug), this
-    /// one evicts per policy.
-    pub fn with_metrics_and_capacity(inner: M, metrics: &Metrics, max_entries: usize) -> Self {
-        let config = if max_entries == usize::MAX {
-            CacheConfig::unbounded()
-        } else {
-            CacheConfig::bounded((max_entries as u64).saturating_mul(ENTRY_BYTES))
-        };
-        Self::with_config(inner, metrics, config)
-    }
-
-    /// The configured entry capacity (`usize::MAX` when unbounded).
-    pub fn capacity(&self) -> usize {
-        match self.cache.capacity_bytes() {
-            None => usize::MAX,
-            Some(bytes) => usize::try_from(size::entries_under(bytes)).unwrap_or(usize::MAX),
-        }
-    }
-
-    /// Number of cached pairs.
-    pub fn len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// True if nothing is cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.cache.is_empty()
-    }
-
-    /// Drops all cached pairs (dropped entries count as evictions).
-    pub fn clear(&self) {
-        self.cache.clear();
-    }
-
-    /// The KB generation the cached pairs were computed against.
-    pub fn generation(&self) -> u64 {
-        self.cache.generation()
-    }
-
-    /// Tags the cache with the KB generation it is serving (e.g. from
-    /// `ned_kb::KbHandle::generation`); see
-    /// [`PairCache::advance_generation`]. Returns true when the cache was
-    /// invalidated.
-    pub fn advance_generation(&self, generation: u64) -> bool {
-        self.cache.advance_generation(generation)
-    }
-
-    /// Lookups served from the cache so far.
-    pub fn hits(&self) -> u64 {
-        self.cache.hits()
-    }
-
-    /// Lookups that computed a fresh value so far.
-    pub fn misses(&self) -> u64 {
-        self.cache.misses()
-    }
-
-    /// Entries written so far.
-    pub fn inserts(&self) -> u64 {
-        self.cache.inserts()
-    }
-
-    /// Entries dropped so far (policy evictions plus invalidation drops).
-    pub fn evictions(&self) -> u64 {
-        self.cache.evictions()
-    }
-
-    /// Lookups whose insert the admission policy rejected so far.
-    pub fn admit_rejected(&self) -> u64 {
-        self.cache.admit_rejected()
-    }
-
-    /// Inserts discarded because the generation moved mid-lookup so far.
-    pub fn stale_discards(&self) -> u64 {
-        self.cache.stale_discards()
-    }
-
-    /// Fraction of lookups served from the cache, in [0, 1].
-    pub fn hit_rate(&self) -> f64 {
-        self.cache.hit_rate()
-    }
-
-    /// Bytes currently charged to cached pairs.
-    pub fn bytes_used(&self) -> u64 {
-        self.cache.bytes_used()
-    }
-
-    /// High-water mark of charged bytes.
-    pub fn bytes_peak(&self) -> u64 {
-        self.cache.bytes_peak()
-    }
-
-    /// Publishes the byte/occupancy gauges; see
-    /// [`PairCache::publish_gauges`].
-    pub fn publish_gauges(&self) {
-        self.cache.publish_gauges();
-    }
-
-    /// The underlying pair cache.
-    pub fn cache(&self) -> &PairCache {
-        &self.cache
     }
 
     /// The wrapped measure.
@@ -639,7 +266,7 @@ impl<M: Relatedness> Relatedness for CachedRelatedness<M> {
     }
 
     fn relatedness(&self, a: EntityId, b: EntityId) -> f64 {
-        self.cache.get_or_insert_with(a, b, || self.inner.relatedness(a, b)).0
+        self.get_or_insert_with(a, b, || self.inner.relatedness(a, b))
     }
 }
 
@@ -664,22 +291,6 @@ mod tests {
 
     fn counting() -> Counting {
         Counting { calls: AtomicUsize::new(0) }
-    }
-
-    /// `n` distinct keys that all land in one shard, so per-shard policy
-    /// behaviour can be asserted without cross-shard noise.
-    fn colliding_keys(n: usize) -> Vec<PairKey> {
-        let target = shard_index(canonical_key(EntityId(0), EntityId(0)));
-        let mut keys = Vec::new();
-        let mut i = 0u32;
-        while keys.len() < n {
-            let k = canonical_key(EntityId(i), EntityId(i));
-            if shard_index(k) == target {
-                keys.push(k);
-            }
-            i += 1;
-        }
-        keys
     }
 
     #[test]
@@ -712,8 +323,7 @@ mod tests {
             c.relatedness(EntityId(i), EntityId(i + 1));
         }
         assert_eq!(c.len(), 10);
-        assert_eq!(c.bytes_used(), 10 * ENTRY_BYTES);
-        assert_eq!(c.bytes_peak(), 10 * ENTRY_BYTES);
+        assert_eq!(c.evictions(), 0, "nothing is dropped within a generation");
     }
 
     #[test]
@@ -731,22 +341,17 @@ mod tests {
 
     #[test]
     fn counters_land_in_a_shared_registry() {
-        use ned_obs::names;
         let m = Metrics::new();
         let c = CachedRelatedness::with_metrics(counting(), &m);
         c.relatedness(EntityId(1), EntityId(2));
         c.relatedness(EntityId(1), EntityId(2));
-        c.publish_gauges();
         let snap = m.snapshot();
         assert_eq!(snap.counter(names::RELATEDNESS_CACHE_MISSES), 1);
         assert_eq!(snap.counter(names::RELATEDNESS_CACHE_INSERTS), 1);
         assert_eq!(snap.counter(names::RELATEDNESS_CACHE_HITS), 1);
         assert_eq!(snap.counter(names::RELATEDNESS_CACHE_EVICTIONS), 0);
-        assert_eq!(snap.counter(names::RELATEDNESS_CACHE_ADMIT_REJECTED), 0);
         assert_eq!(snap.counter(names::RELATEDNESS_CACHE_STALE_DISCARDS), 0);
-        assert_eq!(snap.gauge(names::RELATEDNESS_CACHE_BYTES), ENTRY_BYTES);
-        assert_eq!(snap.gauge(names::RELATEDNESS_CACHE_BYTES_PEAK), ENTRY_BYTES);
-        assert_eq!(snap.gauge(names::RELATEDNESS_CACHE_ENTRIES), 1);
+        assert!(snap.gauges.is_empty(), "the memo publishes no gauges");
     }
 
     #[test]
@@ -768,19 +373,19 @@ mod tests {
         let c = Arc::new(CachedRelatedness::new(counting()));
         let (a, b) = (EntityId(1), EntityId(2));
         c.relatedness(a, b);
-        // Poison the shard holding (a, b) by panicking while its write
-        // lock is held, exactly like a crashed worker would.
-        let idx = shard_index(canonical_key(a, b));
-        let poisoner = Arc::clone(&c);
+        // Poison every shard by panicking while its write lock is held,
+        // exactly like a crashed worker would.
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let _guard = poisoner.cache.shards[idx].write().unwrap();
-            panic!("worker died mid-insert");
-        }));
+        for shard in &c.shards {
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                let _guard = shard.write().unwrap();
+                panic!("worker died mid-insert");
+            }));
+            assert!(result.is_err());
+            assert!(shard.is_poisoned());
+        }
         std::panic::set_hook(hook);
-        assert!(result.is_err());
-        assert!(c.cache.shards[idx].is_poisoned());
         // Reads, writes, and maintenance all still work.
         assert_eq!(c.relatedness(a, b), 3.0, "cached value survives poison");
         assert_eq!(c.len(), 1);
@@ -790,143 +395,17 @@ mod tests {
     }
 
     #[test]
-    fn byte_cap_is_a_hard_bound_under_lru() {
-        // One entry per shard; 40 keys colliding into a single shard churn
-        // that shard's one slot under LRU.
-        let cap = SHARD_COUNT as u64 * ENTRY_BYTES;
-        let m = Metrics::new();
-        let c = CachedRelatedness::with_config(
-            counting(),
-            &m,
-            CacheConfig::bounded(cap).with_policy(EvictionPolicy::Lru),
-        );
-        assert_eq!(c.capacity(), SHARD_COUNT);
-        for k in colliding_keys(40) {
-            assert_eq!(c.relatedness(k.0, k.1), f64::from(k.0 .0 + k.1 .0));
-            assert!(c.bytes_used() <= cap, "cap violated mid-run");
-        }
-        // LRU admits everything: 40 distinct pairs -> 40 inserts, 39
-        // evictions, 1 live.
-        assert_eq!(c.misses(), 40);
-        assert_eq!(c.inserts(), 40);
-        assert_eq!(c.evictions(), 39);
-        assert_eq!(c.admit_rejected(), 0);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.bytes_peak(), ENTRY_BYTES);
-    }
-
-    #[test]
-    fn admission_gate_shields_hot_pairs_from_scans() {
-        let m = Metrics::new();
-        let c = CachedRelatedness::with_config(
-            counting(),
-            &m,
-            // One entry per shard, default TinyLFU-SLRU.
-            CacheConfig::bounded(SHARD_COUNT as u64 * ENTRY_BYTES),
-        );
-        let keys = colliding_keys(8);
-        let Some((&hot, scan)) = keys.split_first() else {
-            panic!("colliding_keys returned nothing")
-        };
-        // Make the resident pair provably hot (sketch frequency 2).
-        c.relatedness(hot.0, hot.1); // miss + insert
-        c.relatedness(hot.0, hot.1); // hit
-        assert_eq!(c.len(), 1);
-        // A one-shot scan through the same shard: every candidate has
-        // sketch frequency 1 against a victim with frequency 2, so nothing
-        // is admitted and the hot pair survives.
-        for k in scan {
-            c.relatedness(k.0, k.1);
-        }
-        assert_eq!(c.evictions(), 0, "scan must not flush the hot pair");
-        assert_eq!(c.admit_rejected(), scan.len() as u64);
-        assert_eq!(c.len(), 1);
-        // The hot pair still hits.
-        let hits_before = c.hits();
-        c.relatedness(hot.0, hot.1);
-        assert_eq!(c.hits(), hits_before + 1);
-        // Conservation: every miss resolved exactly once.
-        assert_eq!(c.misses(), c.inserts() + c.admit_rejected() + c.stale_discards());
-        assert_eq!(c.inserts(), c.evictions() + c.len() as u64);
-    }
-
-    #[test]
-    fn capped_cache_results_match_unbounded() {
-        let capped = CachedRelatedness::with_metrics_and_capacity(counting(), &Metrics::new(), 2);
-        let unbounded = CachedRelatedness::new(counting());
-        for i in 0..20u32 {
-            for j in 0..3u32 {
-                let (a, b) = (EntityId(i), EntityId(i + j + 1));
-                assert_eq!(
-                    capped.relatedness(a, b).to_bits(),
-                    unbounded.relatedness(a, b).to_bits()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn eviction_accounting_is_deterministic_for_a_fixed_sequence() {
-        let run = |policy| {
-            let m = Metrics::new();
-            let c = CachedRelatedness::with_config(
-                counting(),
-                &m,
-                CacheConfig::bounded(7 * ENTRY_BYTES).with_policy(policy),
-            );
-            for i in 0..60u32 {
-                c.relatedness(EntityId(i % 13), EntityId((i * 7) % 17 + 1));
-            }
-            c.publish_gauges();
-            m.snapshot()
-        };
-        for policy in
-            [EvictionPolicy::Lru, EvictionPolicy::SegmentedLru, EvictionPolicy::TinyLfuSlru]
-        {
-            assert_eq!(run(policy), run(policy), "sequence-determinism broke under {policy:?}");
-        }
-    }
-
-    #[test]
-    fn unbounded_cache_never_rejects_or_evicts() {
-        use ned_obs::names;
-        let m = Metrics::new();
-        let c = CachedRelatedness::with_metrics(counting(), &m);
-        assert_eq!(c.capacity(), usize::MAX);
-        assert_eq!(c.cache().capacity_bytes(), None);
-        for i in 0..100u32 {
-            c.relatedness(EntityId(i), EntityId(i + 1));
-        }
-        assert_eq!(c.admit_rejected(), 0);
-        assert_eq!(c.evictions(), 0);
-        assert_eq!(m.snapshot().counter(names::RELATEDNESS_CACHE_ADMIT_REJECTED), 0);
-    }
-
-    #[test]
-    fn zero_capacity_cache_still_answers() {
-        let c = CachedRelatedness::with_metrics_and_capacity(counting(), &Metrics::new(), 0);
-        assert_eq!(c.relatedness(EntityId(1), EntityId(2)), 3.0);
-        assert_eq!(c.relatedness(EntityId(1), EntityId(2)), 3.0);
-        assert!(c.is_empty());
-        assert_eq!(c.admit_rejected(), 2);
-        assert_eq!(c.evictions(), 0);
-        assert_eq!(c.inner().calls.load(Ordering::Relaxed), 2, "nothing memoized");
-    }
-
-    #[test]
     fn advance_generation_drops_entries_only_on_change() {
         let c = CachedRelatedness::new(counting());
-        assert_eq!(c.generation(), 0);
         c.relatedness(EntityId(1), EntityId(2));
         // Same generation: nothing dropped.
         assert!(!c.advance_generation(0));
         assert_eq!(c.len(), 1);
-        // New generation: cache invalidated, tag advanced, drop counted
-        // as an eviction.
+        // New generation: memo invalidated, drop counted as an eviction.
         assert!(c.advance_generation(3));
-        assert_eq!(c.generation(), 3);
         assert!(c.is_empty());
         assert_eq!(c.evictions(), 1);
+        assert!(!c.advance_generation(3), "the tag moved to 3");
         c.relatedness(EntityId(1), EntityId(2));
         assert_eq!(c.inner().calls.load(Ordering::Relaxed), 2, "recomputed");
     }
@@ -999,41 +478,20 @@ mod tests {
         // The compute callback advances the generation while the lookup is
         // between its probe and its insert — exactly the window a racing
         // epoch swap hits. The insert must be discarded and counted.
-        let m = Metrics::new();
-        let cache = PairCache::new(CacheConfig::unbounded(), &m);
-        let (v, events) = cache.get_or_insert_with(EntityId(1), EntityId(2), || {
-            cache.advance_generation(7);
+        let c = CachedRelatedness::new(counting());
+        let v = c.get_or_insert_with(EntityId(1), EntityId(2), || {
+            c.advance_generation(7);
             42.0
         });
         assert_eq!(v, 42.0, "the overlapping lookup still gets its value");
-        assert!(events.stale_discarded);
-        assert!(!events.inserted);
-        assert!(cache.is_empty(), "stale value must not be memoized");
-        assert_eq!(cache.stale_discards(), 1);
-        assert_eq!(cache.misses(), 1);
+        assert!(c.is_empty(), "stale value must not be memoized");
+        assert_eq!(c.stale_discards(), 1);
+        assert_eq!(c.misses(), 1);
+        assert_eq!(c.inserts(), 0);
         // The next lookup under the new generation memoizes normally.
-        let (_, events) = cache.get_or_insert_with(EntityId(1), EntityId(2), || 43.0);
-        assert!(events.inserted);
-        assert_eq!(cache.contents(), vec![((EntityId(1), EntityId(2)), 43.0)]);
-    }
-
-    #[test]
-    fn lookup_events_expose_evictions_in_order() {
-        let m = Metrics::new();
-        // One entry per shard; two keys colliding into one shard.
-        let cache = PairCache::new(
-            CacheConfig::bounded(SHARD_COUNT as u64 * ENTRY_BYTES)
-                .with_policy(EvictionPolicy::Lru),
-            &m,
-        );
-        let keys = colliding_keys(2);
-        let (k1, k2) = (keys[0], keys[1]);
-        let (_, e1) = cache.get_or_insert_with(k1.0, k1.1, || 1.0);
-        assert!(e1.inserted && e1.evicted.is_empty());
-        let (_, e2) = cache.get_or_insert_with(k2.0, k2.1, || 2.0);
-        assert!(e2.inserted);
-        assert_eq!(e2.evicted, vec![k1], "the cap-1 shard evicts the resident pair");
-        assert_eq!(cache.evictions(), 1);
+        assert_eq!(c.get_or_insert_with(EntityId(1), EntityId(2), || 43.0), 43.0);
+        assert_eq!(c.inserts(), 1);
+        assert_eq!(c.relatedness(EntityId(2), EntityId(1)), 43.0, "served from the memo");
     }
 
     #[test]
@@ -1043,13 +501,5 @@ mod tests {
         assert_eq!(c.misses(), 0);
         assert_eq!(c.inserts(), 0);
         assert_eq!(c.hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn config_accessors_round_trip() {
-        let cfg = CacheConfig::bounded(1024).with_policy(EvictionPolicy::SegmentedLru);
-        let cache = PairCache::new(cfg, &Metrics::disabled());
-        assert_eq!(cache.config(), cfg);
-        assert_eq!(cache.capacity_bytes(), Some(1024));
     }
 }

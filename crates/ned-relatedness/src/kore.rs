@@ -145,7 +145,10 @@ impl Relatedness for Kore {
         }
         // Only phrase pairs sharing at least one keyword have PO > 0; walk
         // the smaller entity's phrases and use the other's inverted index.
-        let (small, large) = if ea.phrases.len() <= eb.phrases.len() { (ea, eb) } else { (eb, ea) };
+        // Ties break on entity id so both orientations sum in the same
+        // order and the score is bitwise symmetric.
+        let (small, large) =
+            if (ea.phrases.len(), a) <= (eb.phrases.len(), b) { (ea, eb) } else { (eb, ea) };
         let mut numer = 0.0;
         let mut seen: Vec<u32> = Vec::new();
         for &(p, wp) in &small.phrases {

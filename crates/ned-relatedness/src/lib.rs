@@ -13,7 +13,7 @@
 //! All measures implement the [`Relatedness`] trait so the AIDA coherence
 //! graph can be parameterized over them.
 
-pub mod cache;
+mod cache;
 pub mod jaccard;
 pub mod keyterm_cosine;
 pub mod kore;
@@ -24,10 +24,7 @@ pub mod pair_selection;
 pub mod traits;
 pub mod two_stage;
 
-pub use cache::{
-    canonical_key, shard_index, CacheConfig, CachedRelatedness, EvictionPolicy, LookupEvents,
-    PairCache, PairKey, ENTRY_BYTES, SHARD_COUNT,
-};
+pub use cache::CachedRelatedness;
 pub use keyterm_cosine::{KeyphraseCosine, KeywordCosine};
 pub use jaccard::InlinkJaccard;
 pub use kore::Kore;

@@ -4,8 +4,10 @@ use ned_kb::EntityId;
 
 /// A symmetric semantic-relatedness measure between knowledge-base entities.
 ///
-/// Implementations must be symmetric (`relatedness(a, b) ==
-/// relatedness(b, a)`) and non-negative; most measures are bounded by 1.
+/// Implementations must be bitwise symmetric (`relatedness(a, b).to_bits()
+/// == relatedness(b, a).to_bits()`, which the pair memo in
+/// [`CachedRelatedness`](crate::CachedRelatedness) relies on) and
+/// non-negative; most measures are bounded by 1.
 ///
 /// `Sync` is a supertrait because coherence-edge construction queries the
 /// measure from rayon worker threads; all measures are immutable views over

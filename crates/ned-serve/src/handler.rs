@@ -412,14 +412,14 @@ mod tests {
     }
 
     #[test]
-    fn epoch_swap_invalidates_a_bounded_cache_shared_across_rebuilds() {
+    fn epoch_swap_invalidates_a_cache_shared_across_rebuilds() {
         use ned_kb::{EntityId, KbView};
         use ned_obs::Metrics;
-        use ned_relatedness::{CacheConfig, CachedRelatedness, MilneWitten};
+        use ned_relatedness::{CachedRelatedness, MilneWitten};
 
         // A measure that always reads the handle's *current* epoch, like a
-        // serving worker does between requests. The bounded cache in front
-        // of it survives epoch swaps; only `advance_generation` (called by
+        // serving worker does between requests. The cache in front of it
+        // survives epoch swaps; only `advance_generation` (called by
         // the rebuild closure, mirroring a production epoch handler) may
         // drop its memoized scores.
         struct LiveMw {
@@ -451,13 +451,11 @@ mod tests {
 
         let handle = Arc::new(KbHandle::new(KbEpoch::Frozen(Arc::clone(&base))));
         let metrics = Metrics::new();
-        // Bounded tight: generation invalidation must compose with the
-        // eviction books (dropped entries count as evictions, conservation
-        // stays exact).
-        let cache = Arc::new(CachedRelatedness::with_config(
+        // Generation invalidation must keep the eviction books exact
+        // (dropped entries count as evictions).
+        let cache = Arc::new(CachedRelatedness::with_metrics(
             LiveMw { handle: Arc::clone(&handle) },
             &metrics,
-            CacheConfig::bounded(64 * ned_relatedness::ENTRY_BYTES),
         ));
         let shared = Arc::clone(&cache);
         let handler = EpochHandler::new(Arc::clone(&handle), move |generation, epoch| {
@@ -466,7 +464,7 @@ mod tests {
         });
 
         let before = cache.relatedness(a, b);
-        assert!(!cache.cache().is_empty(), "the score was memoized");
+        assert!(!cache.is_empty(), "the score was memoized");
         assert_eq!(before.to_bits(), cache.relatedness(a, b).to_bits(), "served from cache");
 
         let delta = DeltaKb::build(
@@ -494,13 +492,9 @@ mod tests {
         );
         // Conservation holds across the swap: the generation drop counted
         // its entries as evictions.
-        let pc = cache.cache();
-        assert!(pc.evictions() > 0, "the generation drop is accounted as evictions");
-        assert_eq!(pc.inserts(), pc.evictions() + pc.len() as u64);
-        assert_eq!(
-            pc.misses(),
-            pc.inserts() + pc.admit_rejected() + pc.stale_discards()
-        );
+        assert!(cache.evictions() > 0, "the generation drop is accounted as evictions");
+        assert_eq!(cache.inserts(), cache.evictions() + cache.len() as u64);
+        assert_eq!(cache.misses(), cache.inserts() + cache.stale_discards());
     }
 
     #[test]

@@ -314,98 +314,97 @@ fn nan_relatedness_never_panics_the_batch() {
 }
 
 // ---------------------------------------------------------------------------
-// Bounded relatedness cache under faults
+// Relatedness cache under faults
 // ---------------------------------------------------------------------------
 
 #[test]
-fn poisoned_docs_keep_bounded_cache_conservation_exact() {
-    use aida_ned::relatedness::{CacheConfig, CachedRelatedness, EvictionPolicy, ENTRY_BYTES};
+fn poisoned_docs_keep_cache_conservation_exact() {
+    use aida_ned::relatedness::CachedRelatedness;
     install_quiet_hook();
     let (exported, docs) = test_env();
     let kb = &exported.kb;
 
-    let cap = 400 * ENTRY_BYTES; // tight enough to bind on this corpus
-    for policy in [EvictionPolicy::Lru, EvictionPolicy::TinyLfuSlru] {
-        // Measure the clean single-threaded miss traffic through the same
-        // bounded cache, so the planted panic lands mid-stream inside a
-        // cache miss's compute (only misses reach the inner measure).
-        let counting = FaultyRelatedness::new(MilneWitten::new(kb));
-        let clean_cache = CachedRelatedness::with_config(
-            &counting,
-            &Metrics::new(),
-            CacheConfig::bounded(cap).with_policy(policy),
+    // Measure the clean single-threaded miss traffic through the same
+    // cache, so the planted panic lands mid-stream inside a cache miss's
+    // compute (only misses reach the inner measure).
+    let counting = FaultyRelatedness::new(MilneWitten::new(kb));
+    let clean_cache = CachedRelatedness::new(&counting);
+    let aida = Disambiguator::new(kb, &clean_cache, AidaConfig::full());
+    let _ = run_method_with_threads(&aida, &docs, 1).expect("thread pool");
+    let inner_calls = counting.calls.load(Ordering::Relaxed);
+    assert!(inner_calls > 0, "the corpus must miss the cache");
+
+    for threads in [1usize, 2] {
+        let metrics = Metrics::new();
+        let faulty = FaultyRelatedness::new(MilneWitten::new(kb)).panicking_at(inner_calls / 2);
+        let cache = CachedRelatedness::with_metrics(faulty, &metrics);
+        let aida = Disambiguator::new(kb, &cache, AidaConfig::full());
+        let eval = run_method_with_threads(&aida, &docs, threads).expect("thread pool");
+        assert_eq!(eval.docs.len(), docs.len());
+        assert!(eval.failed_count() >= 1, "the planted panic must fail a document");
+
+        // The aborted lookup (whose compute panicked) counts nothing;
+        // every completed lookup is exactly one hit or miss — so the
+        // conservation laws stay exact even mid-poisoning.
+        assert_eq!(
+            cache.misses(),
+            cache.inserts() + cache.stale_discards(),
+            "misses must split exactly ({threads} threads)"
         );
-        let aida = Disambiguator::new(kb, &clean_cache, AidaConfig::full());
-        let _ = run_method_with_threads(&aida, &docs, 1).expect("thread pool");
-        let inner_calls = counting.calls.load(Ordering::Relaxed);
-        assert!(inner_calls > 0, "the corpus must miss the cache ({policy:?})");
-
-        for threads in [1usize, 2] {
-            let metrics = Metrics::new();
-            let faulty =
-                FaultyRelatedness::new(MilneWitten::new(kb)).panicking_at(inner_calls / 2);
-            let cached = CachedRelatedness::with_config(
-                faulty,
-                &metrics,
-                CacheConfig::bounded(cap).with_policy(policy),
-            );
-            let aida = Disambiguator::new(kb, &cached, AidaConfig::full());
-            let eval = run_method_with_threads(&aida, &docs, threads).expect("thread pool");
-            assert_eq!(eval.docs.len(), docs.len());
-            assert!(eval.failed_count() >= 1, "the planted panic must fail a document");
-
-            // The aborted lookup (whose compute panicked) counts nothing;
-            // every completed lookup is exactly one hit or miss — so the
-            // conservation laws stay exact even mid-poisoning.
-            let cache = cached.cache();
-            assert_eq!(
-                cache.misses(),
-                cache.inserts() + cache.admit_rejected() + cache.stale_discards(),
-                "misses must split exactly ({policy:?}, {threads} threads)"
-            );
-            assert_eq!(
-                cache.inserts(),
-                cache.evictions() + cache.len() as u64,
-                "inserts must equal evictions + live entries ({policy:?}, {threads} threads)"
-            );
-            assert!(cache.bytes_used() <= cap);
-            assert!(cache.bytes_peak() <= cap);
-            assert!(
-                cache.evictions() + cache.admit_rejected() > 0,
-                "the cap must bind during the poisoned run ({policy:?})"
-            );
-            // Cross-check: the counters in the registry agree with the
-            // cache's own accessors (one source of truth, two views).
-            let snap = metrics.snapshot();
-            assert_eq!(snap.counter(names::RELATEDNESS_CACHE_HITS), cache.hits());
-            assert_eq!(snap.counter(names::RELATEDNESS_CACHE_MISSES), cache.misses());
-            assert_eq!(snap.counter(names::RELATEDNESS_CACHE_EVICTIONS), cache.evictions());
+        assert_eq!(
+            cache.inserts(),
+            cache.evictions() + cache.len() as u64,
+            "inserts must equal evictions + live entries ({threads} threads)"
+        );
+        // Every compute but the panicking one completed its lookup. Alone,
+        // each completed compute is a miss; a racing duplicate is a hit.
+        let completed_computes = cache.inner().calls.load(Ordering::Relaxed) - 1;
+        if threads == 1 {
+            assert_eq!(cache.misses(), completed_computes);
+        } else {
+            assert!(cache.misses() <= completed_computes);
         }
+        // Cross-check: the counters in the registry agree with the
+        // cache's own accessors (one source of truth, two views).
+        let snap = metrics.snapshot();
+        assert_eq!(snap.counter(names::RELATEDNESS_CACHE_HITS), cache.hits());
+        assert_eq!(snap.counter(names::RELATEDNESS_CACHE_MISSES), cache.misses());
+        assert_eq!(snap.counter(names::RELATEDNESS_CACHE_EVICTIONS), cache.evictions());
     }
 }
 
 #[test]
 fn panicking_compute_neither_poisons_a_shard_nor_counts_a_lookup() {
-    use aida_ned::relatedness::{CacheConfig, PairCache};
+    use aida_ned::relatedness::CachedRelatedness;
+
+    struct Fixed;
+    impl Relatedness for Fixed {
+        fn name(&self) -> &'static str {
+            "fixed"
+        }
+        fn relatedness(&self, _: EntityId, _: EntityId) -> f64 {
+            0.625
+        }
+    }
+
     install_quiet_hook();
     let metrics = Metrics::new();
-    let cache = PairCache::new(CacheConfig::bounded(64 * 96), &metrics);
+    let faulty = FaultyRelatedness::new(Fixed).panicking_at(0);
+    let cache = CachedRelatedness::with_metrics(faulty, &metrics);
     let (a, b) = (EntityId(3), EntityId(7));
 
     // The compute callback runs with no shard lock held, so its panic
     // unwinds cleanly: no poison, and the aborted lookup counts nothing.
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        cache.get_or_insert_with(a, b, || panic!("injected fault: compute blew up"))
-    }));
+    let result =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cache.relatedness(a, b)));
     assert!(result.is_err(), "the panic must propagate to the caller");
     assert_eq!(cache.hits(), 0);
     assert_eq!(cache.misses(), 0, "an aborted lookup is neither a hit nor a miss");
     assert!(cache.is_empty());
 
     // The same key still works afterwards — the shard lock survived.
-    let (v, events) = cache.get_or_insert_with(a, b, || 0.625);
-    assert_eq!(v.to_bits(), 0.625f64.to_bits());
-    assert!(events.inserted);
+    assert_eq!(cache.relatedness(a, b).to_bits(), 0.625f64.to_bits());
+    assert_eq!(cache.inserts(), 1);
     assert_eq!(cache.misses(), 1);
     assert_eq!(cache.hits() + cache.misses(), 1, "only the completed lookup is counted");
 }

@@ -16,7 +16,7 @@ use std::sync::{Arc, OnceLock};
 use aida_ned::aida::{AidaConfig, Disambiguator};
 use aida_ned::kb::FrozenKb;
 use aida_ned::obs::{Metrics, MetricsSnapshot};
-use aida_ned::relatedness::{CacheConfig, CachedRelatedness, MilneWitten};
+use aida_ned::relatedness::{CachedRelatedness, MilneWitten};
 use aida_ned::wikigen::config::WorldConfig;
 use aida_ned::wikigen::corpus::conll_like;
 use aida_ned::wikigen::{ExportedKb, World};
@@ -125,160 +125,36 @@ fn attaching_metrics_does_not_change_outcomes() {
     assert!(snap.counter("aida_mentions") > 0);
 }
 
-/// Stats read directly off the cache after a bounded pipeline run, so
-/// conservation can be checked against live occupancy without publishing
-/// gauges mid-run.
-struct CacheRun {
-    eval: Evaluation,
-    snap: MetricsSnapshot,
-    live_entries: u64,
-    bytes: u64,
-    bytes_peak: u64,
-}
-
-/// Runs the frozen-KB pipeline with a bounded relatedness cache.
-fn run_frozen_capped(docs: &[GoldDoc], threads: usize, config: CacheConfig) -> CacheRun {
-    let (_, _, frozen) = world();
-    let metrics = Metrics::new();
-    let cached =
-        CachedRelatedness::with_config(MilneWitten::new(frozen.clone()), &metrics, config);
-    let aida =
-        Disambiguator::new(frozen.clone(), &cached, AidaConfig::full()).with_metrics(&metrics);
-    let eval = run_method_with_threads(&aida, docs, threads).expect("thread pool");
-    eval.record_metrics(&metrics);
-    cached.cache().publish_gauges();
-    CacheRun {
-        eval,
-        snap: metrics.snapshot(),
-        live_entries: cached.cache().len() as u64,
-        bytes: cached.cache().bytes_used(),
-        bytes_peak: cached.cache().bytes_peak(),
-    }
-}
-
-/// Asserts the cache-counter conservation laws on a snapshot.
-fn assert_cache_conservation(snap: &MetricsSnapshot, live_entries: u64) {
-    assert_eq!(
-        snap.counter("relatedness_cache_misses"),
-        snap.counter("relatedness_cache_inserts")
-            + snap.counter("relatedness_cache_admit_rejected")
-            + snap.counter("relatedness_cache_stale_discards"),
-        "misses must split exactly into inserts + admit-rejects + stale discards"
-    );
-    assert_eq!(
-        snap.counter("relatedness_cache_inserts"),
-        snap.counter("relatedness_cache_evictions") + live_entries,
-        "every insert is either still live or was evicted"
-    );
-}
-
-/// A cap small enough to bind on a 10-doc corpus (500 entries' worth).
-const TIGHT_CAP: u64 = 500 * aida_ned::relatedness::ENTRY_BYTES;
-
+/// Trace replay through the unbounded memo: the counters depend only on
+/// which distinct pairs each generation touches, so splitting the trace
+/// over 1, 2, 4, or 8 racing threads must produce bit-identical snapshots
+/// and occupancy, with the conservation laws exact.
 #[test]
-fn capped_cache_is_invisible_to_outcomes_and_conserves_lookups() {
-    use aida_ned::relatedness::EvictionPolicy;
-    let docs = corpus(31, 10);
-    let (unbounded, unbounded_snap) = run_frozen(&docs, 1);
+fn cache_snapshots_are_bit_identical_across_1_2_4_8_threads() {
+    use aida_ned::kb::EntityId;
+    use aida_ned::obs::names;
+    use aida_ned::relatedness::Relatedness;
+    use std::collections::BTreeSet;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
-    for policy in [EvictionPolicy::Lru, EvictionPolicy::TinyLfuSlru] {
-        let config = CacheConfig::bounded(TIGHT_CAP).with_policy(policy);
-        let one = run_frozen_capped(&docs, 1, config);
-
-        // Eviction-free determinism: annotation outcomes are byte-identical
-        // to the unbounded cache (memoization is an optimization, never a
-        // result), even while the cap binds and entries churn.
-        assert_identical(&unbounded, &one.eval);
-        assert!(
-            one.snap.counter("relatedness_cache_evictions")
-                + one.snap.counter("relatedness_cache_admit_rejected")
-                > 0,
-            "cap must bind for this test ({policy:?})"
-        );
-        assert_cache_conservation(&one.snap, one.live_entries);
-        assert!(one.bytes <= TIGHT_CAP, "byte cap violated ({policy:?})");
-        assert!(one.bytes_peak <= TIGHT_CAP, "peak bytes exceeded the cap ({policy:?})");
-
-        // For a fixed single-threaded sequence the accounting is exact:
-        // repeated runs produce bit-identical snapshots, gauges included.
-        let again = run_frozen_capped(&docs, 1, config);
-        assert_eq!(
-            one.snap, again.snap,
-            "capped single-threaded snapshot must be reproducible ({policy:?})"
-        );
-
-        let lookups = |s: &MetricsSnapshot| {
-            s.counter("relatedness_cache_hits") + s.counter("relatedness_cache_misses")
-        };
-        assert_eq!(
-            lookups(&one.snap),
-            lookups(&unbounded_snap),
-            "the cap must not change how many lookups the pipeline issues"
-        );
-        for threads in [2usize, 4] {
-            let multi = run_frozen_capped(&docs, threads, config);
-            assert_identical(&one.eval, &multi.eval);
-            // Under concurrency the hit/miss split may shift (which pairs
-            // win memoization depends on arrival order) but the totals
-            // conserve and the byte bound holds at every observation point.
-            assert_eq!(
-                lookups(&multi.snap),
-                lookups(&one.snap),
-                "lookup total drifted at {threads} threads ({policy:?})"
-            );
-            assert_cache_conservation(&multi.snap, multi.live_entries);
-            assert!(multi.bytes <= TIGHT_CAP);
-            assert!(multi.bytes_peak <= TIGHT_CAP);
+    /// A symmetric measure whose value encodes the generation it was
+    /// computed under.
+    struct ByGeneration(AtomicU64);
+    impl Relatedness for ByGeneration {
+        fn name(&self) -> &'static str {
+            "by-generation"
+        }
+        fn relatedness(&self, a: EntityId, b: EntityId) -> f64 {
+            let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+            let generation = self.0.load(Ordering::Acquire);
+            f64::from(lo.0) * 31.0 + f64::from(hi.0) + generation as f64 * 0.5
         }
     }
-}
-
-#[test]
-fn capped_snapshot_is_identical_across_kb_backends() {
-    // The storage backend must not move a cache counter even when the cap
-    // binds: the frozen and legacy KBs drive identical access sequences, so
-    // evictions, admissions, and gauges land identically.
-    let docs = corpus(37, 8);
-    let config = CacheConfig::bounded(TIGHT_CAP);
-
-    let frozen = run_frozen_capped(&docs, 1, config);
-
-    let (_, exported, _) = world();
-    let kb = &exported.kb;
-    let metrics = Metrics::new();
-    let cached = CachedRelatedness::with_config(MilneWitten::new(kb), &metrics, config);
-    let aida = Disambiguator::new(kb, &cached, AidaConfig::full()).with_metrics(&metrics);
-    let eval = run_method_with_threads(&aida, &docs, 1).expect("thread pool");
-    eval.record_metrics(&metrics);
-    cached.cache().publish_gauges();
-
-    assert_identical(&frozen.eval, &eval);
-    assert_eq!(
-        frozen.snap,
-        metrics.snapshot(),
-        "legacy vs frozen bounded snapshots differ: backend layout leaked into eviction"
-    );
-}
-
-/// Shard-partitioned trace replay: each shard's access sub-sequence is a
-/// pure function of the trace, so replaying shards on 1, 2, 4, or 8
-/// threads (threads own disjoint shard groups) must produce bit-identical
-/// metrics snapshots, contents, and gauges. This is the cross-thread half
-/// of the determinism contract: eviction state never leaks across shards.
-#[test]
-fn bounded_cache_snapshots_are_bit_identical_across_1_2_4_8_threads() {
-    use aida_ned::obs::names;
-    use aida_ned::relatedness::{
-        canonical_key, shard_index, CacheConfig, EvictionPolicy, PairCache, PairKey,
-        ENTRY_BYTES, SHARD_COUNT,
-    };
-    use aida_ned::kb::EntityId;
 
     // A deterministic trace over a universe wide enough to touch every
-    // shard, hot enough to produce hits, and long enough to force
-    // evictions under the tight cap. Two phases separated by a generation
-    // advance, so PR 9 invalidation composes with eviction.
-    let trace: Vec<PairKey> = {
+    // shard and hot enough that threads race on the same pairs. Two phases
+    // separated by a generation advance.
+    let trace: Vec<(EntityId, EntityId)> = {
         let mut state = 0xdead_beef_cafe_f00du64;
         let mut step = move || {
             state ^= state << 13;
@@ -289,82 +165,53 @@ fn bounded_cache_snapshots_are_bit_identical_across_1_2_4_8_threads() {
         (0..6000)
             .map(|_| {
                 // Zipf-ish: half the draws from a hot set of 8 entities.
-                let hot = step() % 2 == 0;
-                let span = if hot { 8 } else { 64 };
-                let a = EntityId((step() % span) as u32);
-                let b = EntityId((step() % span) as u32);
-                canonical_key(a, b)
+                let span = if step() % 2 == 0 { 8 } else { 64 };
+                (EntityId((step() % span) as u32), EntityId((step() % span) as u32))
             })
             .collect()
     };
-    let value_of = |key: PairKey, generation: u64| -> f64 {
-        f64::from(key.0 .0) * 31.0 + f64::from(key.1 .0) + generation as f64 * 0.5
-    };
+    let distinct: BTreeSet<(EntityId, EntityId)> =
+        trace.iter().map(|&(a, b)| if a <= b { (a, b) } else { (b, a) }).collect();
 
-    let replay = |config: CacheConfig, threads: usize| {
+    let replay = |threads: usize| {
         let metrics = Metrics::new();
-        let cache = PairCache::new(config, &metrics);
-        // Partition the trace by shard, preserving per-shard order.
-        let mut by_shard: Vec<Vec<PairKey>> = vec![Vec::new(); SHARD_COUNT];
-        for &key in &trace {
-            by_shard[shard_index(key)].push(key);
-        }
+        let cache = CachedRelatedness::with_metrics(ByGeneration(AtomicU64::new(0)), &metrics);
         for generation in [0u64, 1] {
-            if generation > 0 {
-                cache.advance_generation(generation);
-            }
+            cache.inner().0.store(generation, Ordering::Release);
+            cache.advance_generation(generation);
+            let expected = ByGeneration(AtomicU64::new(generation));
             std::thread::scope(|s| {
                 for t in 0..threads {
-                    let shards: Vec<&[PairKey]> = by_shard
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| i % threads == t)
-                        .map(|(_, v)| v.as_slice())
-                        .collect();
-                    let cache = &cache;
+                    let (cache, trace, expected) = (&cache, &trace, &expected);
                     s.spawn(move || {
-                        for shard_trace in shards {
-                            for &key in shard_trace {
-                                cache.get_or_insert_with(key.0, key.1, || {
-                                    value_of(key, generation)
-                                });
-                            }
+                        for &(a, b) in trace.iter().skip(t).step_by(threads) {
+                            assert_eq!(
+                                cache.relatedness(a, b).to_bits(),
+                                expected.relatedness(a, b).to_bits()
+                            );
                         }
                     });
                 }
             });
         }
-        cache.publish_gauges();
-        let mut contents = cache.contents();
-        contents.sort_unstable_by_key(|entry| entry.0);
-        (metrics.snapshot(), contents)
+        (metrics.snapshot(), cache.len())
     };
 
-    for policy in [EvictionPolicy::Lru, EvictionPolicy::TinyLfuSlru] {
-        for cap in [Some(4 * SHARD_COUNT as u64 * ENTRY_BYTES), Some(0), Some(1 << 24), None] {
-            let config = match cap {
-                Some(bytes) => CacheConfig::bounded(bytes).with_policy(policy),
-                None => CacheConfig::unbounded().with_policy(policy),
-            };
-            let (snap1, contents1) = replay(config, 1);
-            assert_eq!(
-                snap1.counter(names::RELATEDNESS_CACHE_HITS)
-                    + snap1.counter(names::RELATEDNESS_CACHE_MISSES),
-                2 * trace.len() as u64,
-                "every replayed lookup is exactly one hit or miss"
-            );
-            for threads in [2usize, 4, 8] {
-                let (snap, contents) = replay(config, threads);
-                assert_eq!(
-                    snap1, snap,
-                    "cache snapshot diverged at {threads} threads ({policy:?}, cap {cap:?})"
-                );
-                assert_eq!(
-                    contents1, contents,
-                    "cache contents diverged at {threads} threads ({policy:?}, cap {cap:?})"
-                );
-            }
-        }
+    let (snap1, len1) = replay(1);
+    let c = |name: &str| snap1.counter(name);
+    let lookups = 2 * trace.len() as u64;
+    assert_eq!(c(names::RELATEDNESS_CACHE_HITS) + c(names::RELATEDNESS_CACHE_MISSES), lookups);
+    assert_eq!(c(names::RELATEDNESS_CACHE_MISSES), 2 * distinct.len() as u64);
+    assert_eq!(
+        c(names::RELATEDNESS_CACHE_MISSES),
+        c(names::RELATEDNESS_CACHE_INSERTS) + c(names::RELATEDNESS_CACHE_STALE_DISCARDS)
+    );
+    assert_eq!(c(names::RELATEDNESS_CACHE_EVICTIONS), distinct.len() as u64);
+    assert_eq!(len1, distinct.len());
+    for threads in [2usize, 4, 8] {
+        let (snap, len) = replay(threads);
+        assert_eq!(snap1, snap, "cache snapshot diverged at {threads} threads");
+        assert_eq!(len1, len, "memo occupancy diverged at {threads} threads");
     }
 }
 
