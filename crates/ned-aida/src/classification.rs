@@ -122,11 +122,11 @@ impl<'a, K: KbView> TypeClassifier<'a, K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ned_kb::{EntityKind, KbBuilder, KnowledgeBase};
+    use ned_kb::{EntityKind, FrozenKb, KbBuilder};
     use ned_text::tokenize;
 
     /// "Dylan" is either the musician (popular) or a city (less popular).
-    fn setup() -> (KnowledgeBase, Taxonomy) {
+    fn setup() -> (FrozenKb, Taxonomy) {
         let mut b = KbBuilder::new();
         let musician = b.add_entity("Bob Dylan", EntityKind::Person);
         let city = b.add_entity("Dylan Town", EntityKind::Location);
@@ -136,7 +136,7 @@ mod tests {
         b.add_keyphrase(musician, "studio album", 3);
         b.add_keyphrase(city, "river harbor", 3);
         b.add_keyphrase(city, "municipal council", 2);
-        let kb = b.build();
+        let kb = FrozenKb::freeze(&b.build());
         let mut tax = Taxonomy::new(kb.entity_count());
         let person = tax.add_type("person");
         let m = tax.add_type("musician");

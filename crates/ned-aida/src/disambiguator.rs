@@ -33,7 +33,7 @@ const MENTION_PAR_THRESHOLD: usize = 64;
 /// The AIDA joint disambiguator, parameterized over the KB representation
 /// and the coherence measure.
 ///
-/// The KB handle is held *by value*: pass `&KnowledgeBase` for the classic
+/// The KB handle is held *by value*: pass `&FrozenKb` for the classic
 /// borrowed style, or (a clone of) an `Arc<FrozenKb>` for a fully owned
 /// disambiguator that can be moved across threads and shared by rayon
 /// workers without any borrow tying it to a KB binding.
@@ -387,13 +387,13 @@ impl<K: KbView, R: Relatedness> NedMethod for Disambiguator<K, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ned_kb::{EntityKind, KbBuilder, KnowledgeBase};
+    use ned_kb::{EntityKind, FrozenKb, KbBuilder};
     use ned_relatedness::MilneWitten;
     use ned_text::tokenize;
 
     /// The running example of Chapter 3: "They performed Kashmir, written by
     /// Page and Plant. Page played unusual chords on his Gibson."
-    fn kb() -> KnowledgeBase {
+    fn kb() -> FrozenKb {
         let mut b = KbBuilder::new();
         let song = b.add_entity("Kashmir (song)", EntityKind::Work);
         let region = b.add_entity("Kashmir (region)", EntityKind::Location);
@@ -440,7 +440,7 @@ mod tests {
         ] {
             b.add_link(a, b_);
         }
-        b.build()
+        FrozenKb::freeze(&b.build())
     }
 
     fn doc() -> (Vec<Token>, Vec<Mention>) {

@@ -7,12 +7,13 @@ use std::hint::black_box;
 use ned_aida::baselines::{Cucerzan, Kulkarni, KulkarniVariant, PriorOnly};
 use ned_aida::{AidaConfig, Disambiguator, NedMethod};
 use ned_eval::gold::GoldDoc;
+use ned_kb::FrozenKb;
 use ned_relatedness::{Kore, MilneWitten};
 use ned_wikigen::config::WorldConfig;
 use ned_wikigen::corpus::conll_like;
 use ned_wikigen::{ExportedKb, World};
 
-fn setup() -> (ExportedKb, Vec<GoldDoc>) {
+fn setup() -> (FrozenKb, Vec<GoldDoc>) {
     let world = World::generate(WorldConfig {
         entities_per_topic: 150,
         ..WorldConfig::default()
@@ -20,12 +21,12 @@ fn setup() -> (ExportedKb, Vec<GoldDoc>) {
     let exported = ExportedKb::build(&world);
     let corpus = conll_like(&world, &exported, 7, 24);
     let docs = corpus.docs;
-    (exported, docs)
+    (FrozenKb::freeze(&exported.kb), docs)
 }
 
 fn bench_methods(c: &mut Criterion) {
-    let (exported, docs) = setup();
-    let kb = &exported.kb;
+    let (frozen, docs) = setup();
+    let kb = &frozen;
     let kore = Kore::new(kb);
 
     let mut group = c.benchmark_group("disambiguate_corpus_24_docs");

@@ -11,24 +11,25 @@ use ned_aida::similarity::{context_word_set, simscore_exhaustive, simscore_index
 use ned_aida::{AidaConfig, Disambiguator, KeywordWeighting};
 use ned_bench::runner::run_method_with_threads;
 use ned_eval::gold::GoldDoc;
+use ned_kb::FrozenKb;
 use ned_relatedness::MilneWitten;
 use ned_wikigen::config::WorldConfig;
 use ned_wikigen::corpus::conll_like;
 use ned_wikigen::{ExportedKb, World};
 
-fn setup() -> (ExportedKb, Vec<GoldDoc>) {
+fn setup() -> (FrozenKb, Vec<GoldDoc>) {
     let world = World::generate(WorldConfig {
         entities_per_topic: 150,
         ..WorldConfig::default()
     });
     let exported = ExportedKb::build(&world);
     let corpus = conll_like(&world, &exported, 7, 24);
-    (exported, corpus.docs)
+    (FrozenKb::freeze(&exported.kb), corpus.docs)
 }
 
 fn bench_thread_scaling(c: &mut Criterion) {
-    let (exported, docs) = setup();
-    let kb = &exported.kb;
+    let (frozen, docs) = setup();
+    let kb = &frozen;
 
     let mut group = c.benchmark_group("throughput_24_docs");
     group.sample_size(10);
@@ -53,8 +54,8 @@ fn bench_thread_scaling(c: &mut Criterion) {
 }
 
 fn bench_similarity_index(c: &mut Criterion) {
-    let (exported, docs) = setup();
-    let kb = &exported.kb;
+    let (frozen, docs) = setup();
+    let kb = &frozen;
     // Every mention context with its candidate entities.
     let cases: Vec<_> = docs
         .iter()

@@ -117,7 +117,7 @@ mod tests {
     fn quick_env_builds() {
         let scale = Scale::quick();
         let env = Env::build(&scale);
-        assert!(env.exported.kb.entity_count() > 300);
+        assert!(env.frozen.entity_count() > 300);
         let corpus = env.conll(&Scale { conll_docs: 10, ..Scale::quick() });
         assert_eq!(corpus.docs.len(), 10);
     }

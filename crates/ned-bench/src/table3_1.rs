@@ -11,7 +11,7 @@ use crate::setup::{Env, Scale};
 pub fn run(scale: &Scale) {
     let env = Env::build(scale);
     let corpus = env.conll(scale);
-    let kb = &env.exported.kb;
+    let kb = &env.frozen;
 
     let articles = corpus.docs.len();
     let mentions: usize = corpus.docs.iter().map(|d| d.mentions.len()).sum();

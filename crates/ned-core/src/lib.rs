@@ -36,22 +36,16 @@ pub enum SnapshotError {
         /// Version this binary reads and writes.
         supported: u16,
     },
-    /// The stream ended before the declared body length.
+    /// The stream ended inside the header.
     Truncated {
-        /// Bytes the header promised.
+        /// Header bytes expected.
         expected: u64,
         /// Bytes actually present.
         actual: u64,
     },
-    /// The body checksum does not match the header checksum.
-    ChecksumMismatch {
-        /// Checksum recorded in the header.
-        expected: u64,
-        /// Checksum of the bytes actually read.
-        actual: u64,
-    },
-    /// The body passed the checksum but failed to decode (version-skewed
-    /// writer or a bug; with a valid checksum this should be unreachable).
+    /// A section body passed its checksum but failed to decode
+    /// (version-skewed writer or a bug; with a valid checksum this should be
+    /// unreachable).
     Codec(String),
     /// A v3 section block ended before its declared body length.
     SectionTruncated {
@@ -81,6 +75,11 @@ pub enum SnapshotError {
         /// The section that never arrived.
         section: &'static str,
     },
+    /// A v3 stream delivered the same section twice.
+    DuplicateSection {
+        /// The section whose frame repeated.
+        section: &'static str,
+    },
 }
 
 impl fmt::Display for SnapshotError {
@@ -92,12 +91,8 @@ impl fmt::Display for SnapshotError {
                 "unsupported snapshot format version {found} (this binary supports {supported})"
             ),
             SnapshotError::Truncated { expected, actual } => {
-                write!(f, "truncated snapshot: header promised {expected} bytes, got {actual}")
+                write!(f, "truncated snapshot header: expected {expected} bytes, got {actual}")
             }
-            SnapshotError::ChecksumMismatch { expected, actual } => write!(
-                f,
-                "snapshot checksum mismatch: header {expected:#018x}, body {actual:#018x}"
-            ),
             SnapshotError::Codec(msg) => write!(f, "snapshot body failed to decode: {msg}"),
             SnapshotError::SectionTruncated { section, expected, actual } => write!(
                 f,
@@ -114,6 +109,9 @@ impl fmt::Display for SnapshotError {
             }
             SnapshotError::MissingSection { section } => {
                 write!(f, "snapshot ended without required section {section:?}")
+            }
+            SnapshotError::DuplicateSection { section } => {
+                write!(f, "snapshot section {section:?} appears more than once")
             }
         }
     }

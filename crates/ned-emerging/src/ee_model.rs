@@ -224,12 +224,12 @@ impl NameModels {
 mod tests {
     use super::*;
     use ned_eval::gold::LabeledMention;
-    use ned_kb::{EntityKind, KbBuilder, KnowledgeBase};
+    use ned_kb::{EntityKind, FrozenKb, KbBuilder};
     use ned_text::{tokenize, Mention};
 
     /// KB knows "Prism" as a band with phrase "progressive rock band"; the
     /// news stream talks about a surveillance program.
-    fn kb() -> KnowledgeBase {
+    fn kb() -> FrozenKb {
         let mut b = KbBuilder::new();
         let band = b.add_entity("Prism (band)", EntityKind::Organization);
         b.add_name(band, "Prism", 10);
@@ -238,7 +238,7 @@ mod tests {
         let pad = b.add_entity("Pad", EntityKind::Other);
         b.add_keyphrase(pad, "secret surveillance program", 1);
         b.add_keyphrase(pad, "intelligence whistleblower leak", 1);
-        b.build()
+        FrozenKb::freeze(&b.build())
     }
 
     fn news_doc(id: &str, text: &str) -> GoldDoc {

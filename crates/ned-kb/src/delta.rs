@@ -10,7 +10,7 @@
 //! ## Semantics
 //!
 //! Building an overlay conceptually **thaws** the frozen base back into a
-//! legacy [`KnowledgeBase`] (id-preserving: entity `i` stays entity `i`,
+//! build-time [`KnowledgeBase`] (id-preserving: entity `i` stays entity `i`,
 //! phrase `p` stays phrase `p`), applies the mutations exactly as
 //! [`crate::builder::KbBuilder`] would have at build time, and keeps only
 //! the *rows that changed* plus the recomputed global statistics
@@ -58,7 +58,7 @@ pub(crate) struct Touched {
     in_rows: FxHashSet<EntityId>,
 }
 
-/// Reconstructs the legacy representation of a frozen KB, id-preserving:
+/// Reconstructs the build-time representation of a frozen KB, id-preserving:
 /// every entity, word, and phrase keeps its dense id, so mutations applied
 /// to the thawed KB mean the same thing they would have meant at build
 /// time.
@@ -109,8 +109,6 @@ fn thaw(base: &FrozenKb) -> KnowledgeBase {
         keyphrases,
         weights: WeightModel::default(),
         by_name,
-        kp_index: KeyphraseIndex::default(),
-        phrase_runs: PhraseRuns::default(),
     }
 }
 
@@ -202,7 +200,6 @@ pub(crate) fn merge(
     kb.links.finalize();
     kb.keyphrases.finalize();
     kb.weights = WeightModel::compute(&kb.keyphrases, &kb.links, &kb.phrases, kb.words.len());
-    kb.rebuild_indexes();
     Ok((kb, touched))
 }
 
@@ -319,6 +316,16 @@ impl DeltaKb {
             .map(|i| merged.phrase_surface(PhraseId::from_index(i)).to_string())
             .collect();
 
+        let kp_index =
+            KeyphraseIndex::build(&merged.keyphrases, &merged.phrases, merged.words.len());
+        let phrase_runs = PhraseRuns::build_raw(
+            merged.phrases.len(),
+            merged_n,
+            |e| merged.keyphrases.phrases(e),
+            |p| merged.phrases.words(p),
+            &merged.weights,
+        );
+
         metrics.gauge(names::KB_DELTA_ENTITIES).set((merged_n - base_n) as u64);
 
         Ok(DeltaKb {
@@ -342,9 +349,9 @@ impl DeltaKb {
             phrases_new,
             phrase_surfaces_new,
             total_phrase_observations: merged.keyphrase_store().total_observations(),
-            weights: merged.weights.clone(),
-            kp_index: merged.kp_index.clone(),
-            phrase_runs: merged.phrase_runs.clone(),
+            weights: merged.weights,
+            kp_index,
+            phrase_runs,
         })
     }
 

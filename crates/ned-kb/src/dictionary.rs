@@ -23,7 +23,7 @@ pub struct Candidate {
 }
 
 /// Name → candidate-set dictionary with popularity priors.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct Dictionary {
     /// Keyed by `match_key` of the squashed surface form.
     entries: FxHashMap<String, Vec<Candidate>>,
@@ -69,17 +69,6 @@ impl Dictionary {
             .iter()
             .find(|c| c.entity == entity)
             .map_or(0.0, |c| c.count as f64 / total as f64)
-    }
-
-    /// Full prior distribution over the candidates of a name, in candidate
-    /// order. Empty when the name is unknown.
-    pub fn prior_distribution(&self, surface: &str) -> Vec<(EntityId, f64)> {
-        let cands = self.candidates(surface);
-        let total: u64 = cands.iter().map(|c| c.count).sum();
-        if total == 0 {
-            return Vec::new();
-        }
-        cands.iter().map(|c| (c.entity, c.count as f64 / total as f64)).collect()
     }
 
     /// Number of distinct names.
@@ -176,9 +165,6 @@ mod tests {
         assert!((d.prior("Kashmir", e(1)) - 0.1).abs() < 1e-12);
         assert_eq!(d.prior("Kashmir", e(2)), 0.0);
         assert_eq!(d.prior("Unknown", e(0)), 0.0);
-        let dist = d.prior_distribution("Kashmir");
-        let sum: f64 = dist.iter().map(|(_, p)| p).sum();
-        assert!((sum - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! borrowing, which is what sharding and snapshot hot-swap need later.
 //!
 //! Everything here preserves the exact orderings and arithmetic of the
-//! legacy structures (candidate order, sorted adjacency, prior arithmetic on
-//! `u64` anchor counts), so disambiguation outputs are byte-identical
-//! whichever representation backs the [`KbView`](crate::view::KbView).
+//! build-time structures (candidate order, sorted adjacency, prior
+//! arithmetic on `u64` anchor counts), so a frozen KB answers every read
+//! exactly as the [`KnowledgeBase`] it was frozen from.
 
 use serde::{Deserialize, Serialize};
 
@@ -35,6 +35,7 @@ use crate::keyphrase::EntityPhrase;
 use crate::kp_index::KeyphraseIndex;
 use crate::phrase_runs::PhraseRuns;
 use crate::store::KnowledgeBase;
+use crate::view::DictIter;
 use crate::weights::WeightModel;
 
 /// Converts a length to a `u32` CSR offset.
@@ -52,7 +53,7 @@ fn offset(len: usize) -> u32 {
 /// Keys are the `match_key` forms, stored concatenated in ascending order in
 /// one arena string; `key_offsets[i]..key_offsets[i+1]` is key `i`'s byte
 /// range and `cand_offsets[i]..cand_offsets[i+1]` its candidate range. The
-/// per-key candidate order is exactly the legacy finalize order (count
+/// per-key candidate order is exactly the build-time finalize order (count
 /// descending, entity ascending).
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
 pub struct FrozenDictionary {
@@ -63,7 +64,7 @@ pub struct FrozenDictionary {
 }
 
 impl FrozenDictionary {
-    /// Flattens a legacy dictionary (keys sorted ascending, as
+    /// Flattens a build-time dictionary (keys sorted ascending, as
     /// [`Dictionary::iter`] yields them).
     pub(crate) fn freeze(dict: &Dictionary) -> Self {
         let mut key_arena = String::new();
@@ -87,6 +88,12 @@ impl FrozenDictionary {
     /// Number of (name, entity) pairs.
     pub fn pair_count(&self) -> usize {
         self.candidates.len()
+    }
+
+    /// Iterates over all (name-key, candidates) entries in ascending key
+    /// order, without allocating.
+    pub fn iter(&self) -> DictIter<'_> {
+        DictIter::Frozen { dict: self, next: 0 }
     }
 
     /// The `i`-th key in ascending order.
@@ -116,7 +123,7 @@ impl FrozenDictionary {
     }
 
     /// Candidate entities for a mention surface (same case rules as the
-    /// legacy dictionary), or an empty slice when unknown.
+    /// build-time dictionary), or an empty slice when unknown.
     pub fn candidates(&self, surface: &str) -> &[Candidate] {
         let key = match_key(&squash_whitespace(surface));
         self.find(&key).map_or(&[], |i| self.candidates_at(i))
@@ -129,7 +136,7 @@ impl FrozenDictionary {
     }
 
     /// Popularity prior p(e | name) (§3.3.3) — identical arithmetic to the
-    /// legacy dictionary (sum `u64` anchor counts, then one division).
+    /// build-time dictionary (sum `u64` anchor counts, then one division).
     pub fn prior(&self, surface: &str, entity: EntityId) -> f64 {
         let cands = self.candidates(surface);
         let total: u64 = cands.iter().map(|c| c.count).sum();
@@ -173,7 +180,7 @@ pub struct FrozenLinks {
 }
 
 impl FrozenLinks {
-    /// Flattens a legacy link graph (adjacency already sorted ascending).
+    /// Flattens a build-time link graph (adjacency already sorted ascending).
     pub(crate) fn freeze(links: &crate::links::LinkGraph) -> Self {
         let n = links.len();
         let mut in_offsets = Vec::with_capacity(n + 1);
@@ -390,8 +397,9 @@ pub struct FrozenKb {
     links: FrozenLinks,
     phrases: FrozenPhrases,
     weights: WeightModel,
-    /// Persistent like the five classic sections, but *optional* in
-    /// snapshots (frame tag 6): rebuilt in `assemble` when absent.
+    /// Persistent like the five classic sections (snapshot frame tag 6);
+    /// `assemble` builds it when freezing and rebuilds a decoded section
+    /// that does not fit the other sections' shape.
     phrase_runs: PhraseRuns,
     // Transient lookups, rebuilt in `assemble` on every construction path
     // (freeze and snapshot decode alike — nothing below is serialized).
@@ -419,8 +427,8 @@ impl FrozenKb {
     /// inverted index) plus the section stats. Both [`FrozenKb::freeze`] and
     /// the v3 snapshot decoder funnel through here, so a decoded KB can
     /// never miss an index a frozen one has. `phrase_runs` is the decoded
-    /// optional tag-6 section; `None` (or a shape mismatch against the
-    /// other sections) triggers a rebuild from the keyphrases + weights.
+    /// tag-6 section; `None` (freezing) or a shape mismatch against the
+    /// other sections triggers a build from the keyphrases + weights.
     pub(crate) fn assemble(
         entities: Vec<Entity>,
         dictionary: FrozenDictionary,
@@ -589,7 +597,7 @@ impl FrozenKb {
     }
 
     /// Looks up an interned keyword by text (case-insensitive, like the
-    /// legacy interner).
+    /// build-time interner).
     pub fn word_id(&self, text: &str) -> Option<WordId> {
         self.word_index.get(&text.to_lowercase()).copied()
     }
@@ -620,7 +628,7 @@ impl FrozenKb {
     }
 
     /// Decomposes into the five classic persistent sections (snapshot
-    /// writer); the optional phrase-run section is fetched separately via
+    /// writer); the phrase-run section is fetched separately via
     /// [`FrozenKb::phrase_runs`].
     pub(crate) fn sections(
         &self,
@@ -672,13 +680,13 @@ mod tests {
     #[test]
     fn dictionary_iteration_order_matches() {
         let (kb, fz) = frozen();
-        let legacy: Vec<(String, Vec<Candidate>)> =
+        let built: Vec<(String, Vec<Candidate>)> =
             kb.dictionary().iter().map(|(k, c)| (k.to_string(), c.to_vec())).collect();
         let frozen: Vec<(String, Vec<Candidate>)> = KbView::dictionary(&fz)
             .iter()
             .map(|(k, c)| (k.to_string(), c.to_vec()))
             .collect();
-        assert_eq!(legacy, frozen);
+        assert_eq!(built, frozen);
     }
 
     #[test]
@@ -690,11 +698,12 @@ mod tests {
             assert_eq!(fz.links().inlinks(a), kb.links().inlinks(a));
             assert_eq!(fz.links().outlinks(a), kb.links().outlinks(a));
             for b in kb.entity_ids() {
-                assert_eq!(
-                    fz.links().shared_inlink_count(a, b),
-                    kb.links().shared_inlink_count(a, b)
-                );
-                assert_eq!(fz.links().directly_linked(a, b), kb.links().directly_linked(a, b));
+                let (in_a, in_b) = (kb.links().inlinks(a), kb.links().inlinks(b));
+                let shared = in_a.iter().filter(|x| in_b.contains(x)).count();
+                assert_eq!(fz.links().shared_inlink_count(a, b), shared);
+                let direct =
+                    kb.links().outlinks(a).contains(&b) || kb.links().outlinks(b).contains(&a);
+                assert_eq!(fz.links().directly_linked(a, b), direct);
             }
         }
     }
@@ -719,11 +728,17 @@ mod tests {
             assert_eq!(fz.word_id(kb.word_text(w)), Some(w));
         }
         assert_eq!(fz.word_id("no-such-word"), None);
-        // Inverted index: identical postings for every word.
-        assert_eq!(fz.keyphrase_index().posting_count(), kb.keyphrase_index().posting_count());
+        // Inverted index: identical postings to one built over the
+        // build-time stores.
+        let index = KeyphraseIndex::build(
+            kb.keyphrase_store(),
+            kb.phrase_interner(),
+            kb.word_interner().len(),
+        );
+        assert_eq!(fz.keyphrase_index().posting_count(), index.posting_count());
         for wi in 0..kb.word_interner().len() {
             let w = WordId::from_index(wi);
-            assert_eq!(fz.keyphrase_index().postings(w), kb.keyphrase_index().postings(w));
+            assert_eq!(fz.keyphrase_index().postings(w), index.postings(w));
         }
     }
 

@@ -10,8 +10,9 @@
 //! context — an *exact* pruning, not an approximation.
 //!
 //! Postings are sorted by `(entity, phrase)` so one binary search yields an
-//! entity's slice of a word's posting list. The index is transient (rebuilt
-//! after snapshot deserialization), like the other lookup indexes.
+//! entity's slice of a word's posting list. The index is transient (built
+//! when a KB is frozen or overlaid, never persisted), like the other lookup
+//! indexes.
 
 use crate::ids::{EntityId, PhraseId, WordId};
 use crate::keyphrase::{EntityPhrase, KeyphraseStore};
@@ -36,9 +37,9 @@ impl KeyphraseIndex {
         )
     }
 
-    /// Builds the index from raw accessors, so both KB representations
-    /// (nested legacy stores and frozen CSR arrays) produce identical
-    /// postings from the same one construction routine.
+    /// Builds the index from raw accessors, so both the frozen CSR arrays
+    /// and the nested build-time stores produce identical postings from
+    /// the same one construction routine.
     pub(crate) fn build_raw<'x>(
         word_count: usize,
         entity_count: usize,
@@ -139,7 +140,7 @@ mod tests {
     use crate::builder::KbBuilder;
     use crate::entity::EntityKind;
 
-    fn kb() -> crate::store::KnowledgeBase {
+    fn kb() -> crate::FrozenKb {
         let mut b = KbBuilder::new();
         let jimmy = b.add_entity("Jimmy Page", EntityKind::Person);
         let larry = b.add_entity("Larry Page", EntityKind::Person);
@@ -147,7 +148,7 @@ mod tests {
         b.add_keyphrase(jimmy, "rock guitarist", 2);
         b.add_keyphrase(larry, "search engine", 3);
         b.add_keyphrase(larry, "rock climbing", 1);
-        b.build()
+        crate::FrozenKb::freeze(&b.build())
     }
 
     #[test]
@@ -226,7 +227,7 @@ mod tests {
 
     #[test]
     fn empty_store_builds_empty_index() {
-        let kb = KbBuilder::new().build();
+        let kb = crate::FrozenKb::freeze(&KbBuilder::new().build());
         let idx = kb.keyphrase_index();
         assert_eq!(idx.posting_count(), 0);
     }

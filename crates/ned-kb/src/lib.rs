@@ -16,7 +16,11 @@
 //! - entity–keyword NPMI over the "superdocument" model (Eqs. 3.1–3.3),
 //! - entity–keyphrase normalized mutual information µ (Eq. 4.1).
 //!
-//! The central type is [`KnowledgeBase`], constructed via [`KbBuilder`].
+//! A KB is built with [`KbBuilder`] into a [`KnowledgeBase`], whose only
+//! exit to the read path is [`FrozenKb::freeze`]. Consumers read through
+//! the [`KbView`] trait, implemented by the columnar [`FrozenKb`] and the
+//! copy-on-write [`DeltaKb`] overlay on top of one; [`snapshot`] persists a
+//! frozen KB in the sectioned v3 format.
 
 pub mod builder;
 pub mod delta;

@@ -6,12 +6,10 @@
 //! out-link adjacency lists are stored sorted so set intersections run as
 //! linear merges.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::EntityId;
 
 /// Directed link graph over entities.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct LinkGraph {
     inlinks: Vec<Vec<EntityId>>,
     outlinks: Vec<Vec<EntityId>>,
@@ -62,22 +60,6 @@ impl LinkGraph {
     /// Entities `e` links *to*, sorted ascending after [`Self::finalize`].
     pub fn outlinks(&self, e: EntityId) -> &[EntityId] {
         &self.outlinks[e.index()]
-    }
-
-    /// Number of in-links of `e` (the entity's "link popularity").
-    pub fn inlink_count(&self, e: EntityId) -> usize {
-        self.inlinks[e.index()].len()
-    }
-
-    /// Size of the intersection of the in-link sets of `a` and `b`, by
-    /// linear merge over the sorted lists.
-    pub fn shared_inlink_count(&self, a: EntityId, b: EntityId) -> usize {
-        sorted_intersection_size(self.inlinks(a), self.inlinks(b))
-    }
-
-    /// True if a direct link exists in either direction.
-    pub fn directly_linked(&self, a: EntityId, b: EntityId) -> bool {
-        self.outlinks(a).binary_search(&b).is_ok() || self.outlinks(b).binary_search(&a).is_ok()
     }
 
     /// Sorts all adjacency lists; must be called once after construction and
@@ -151,7 +133,7 @@ mod tests {
         let g = graph();
         assert_eq!(g.inlinks(e(1)), &[e(0), e(3), e(4)]);
         assert_eq!(g.outlinks(e(0)), &[e(1), e(2)]);
-        assert_eq!(g.inlink_count(e(2)), 2);
+        assert_eq!(g.inlinks(e(2)), &[e(0), e(3)]);
         assert_eq!(g.edge_count(), 5);
     }
 
@@ -162,22 +144,6 @@ mod tests {
         g.add_link(e(0), e(1));
         g.add_link(e(0), e(1));
         assert_eq!(g.edge_count(), 1);
-    }
-
-    #[test]
-    fn shared_inlinks() {
-        let g = graph();
-        // in(1) = {0,3,4}, in(2) = {0,3} → intersection 2.
-        assert_eq!(g.shared_inlink_count(e(1), e(2)), 2);
-        assert_eq!(g.shared_inlink_count(e(1), e(0)), 0);
-    }
-
-    #[test]
-    fn direct_link_detection() {
-        let g = graph();
-        assert!(g.directly_linked(e(0), e(1)));
-        assert!(g.directly_linked(e(1), e(0)));
-        assert!(!g.directly_linked(e(1), e(2)));
     }
 
     #[test]

@@ -23,9 +23,8 @@
 //! it, down to the sign of zero. `tests/frozen_equivalence.rs` checks this
 //! property over random worlds.
 //!
-//! The structure is persisted as an *optional* section of snapshot v3
-//! (frame tag 6) and rebuilt from the keyphrase store + weights when the
-//! section is absent (v2 snapshots, legacy builds, hand-built KBs).
+//! The structure is built when a KB is frozen or overlaid, and persisted as
+//! a required section of snapshot v3 (frame tag 6).
 
 use serde::{Deserialize, Serialize};
 
@@ -50,9 +49,9 @@ pub struct PhraseRuns {
 }
 
 impl PhraseRuns {
-    /// Builds runs and masses from raw accessors, so both KB
-    /// representations (nested legacy stores and frozen CSR arrays)
-    /// produce identical values from the same one construction routine
+    /// Builds runs and masses from raw accessors, so both read
+    /// representations (frozen CSR arrays and the merged stores behind an
+    /// overlay) produce identical values from the same one construction routine
     /// (mirroring [`crate::kp_index::KeyphraseIndex::build_raw`]).
     pub(crate) fn build_raw<'x>(
         phrase_count: usize,
@@ -175,16 +174,16 @@ mod tests {
     use super::*;
     use crate::builder::KbBuilder;
     use crate::entity::EntityKind;
-    use crate::store::KnowledgeBase;
+    use crate::FrozenKb;
 
-    fn kb() -> KnowledgeBase {
+    fn kb() -> FrozenKb {
         let mut b = KbBuilder::new();
         let jimmy = b.add_entity("Jimmy Page", EntityKind::Person);
         let larry = b.add_entity("Larry Page", EntityKind::Person);
         b.add_keyphrase(jimmy, "hard rock rock", 3);
         b.add_keyphrase(jimmy, "rock guitarist", 2);
         b.add_keyphrase(larry, "search engine", 3);
-        b.build()
+        FrozenKb::freeze(&b.build())
     }
 
     #[test]
@@ -272,7 +271,7 @@ mod tests {
 
     #[test]
     fn empty_kb_builds_empty_runs() {
-        let kb = KbBuilder::new().build();
+        let kb = FrozenKb::freeze(&KbBuilder::new().build());
         let runs = kb.phrase_runs();
         assert_eq!(runs.phrase_count(), 0);
         assert!(runs.is_consistent_with(0, 0));

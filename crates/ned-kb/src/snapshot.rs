@@ -1,4 +1,4 @@
-//! Compact binary snapshots of a knowledge base.
+//! Compact binary snapshots of a frozen knowledge base.
 //!
 //! A hand-rolled, versioned binary codec over the serde data model is
 //! overkill here; instead we use a simple length-prefixed encoding written
@@ -7,23 +7,17 @@
 //! crate, keeping the workspace inside its approved dependency set (serde
 //! without a third-party format crate).
 //!
-//! Two on-disk layouts coexist:
+//! A snapshot (format version 3) is an 8-byte header — magic and version —
+//! followed by six section frames: entities, dictionary, links, keyphrases,
+//! weights and phrase runs. Each frame is length-prefixed and individually
+//! FNV-checksummed, and decodes straight into the flat arrays of a
+//! [`FrozenKb`]. [`write_frozen_snapshot`] writes one and
+//! [`read_frozen_snapshot`] reads one; any other version is rejected.
+//! Per-section framing is what mmap and lazy per-section loading need.
 //!
-//! - **v2** (legacy): one monolithic body holding a serialized
-//!   [`KnowledgeBase`], framed by a 24-byte header (magic, version, body
-//!   length, FNV-1a checksum). Written by [`write_snapshot`], read by
-//!   [`read_snapshot`].
-//! - **v3** (current): five independent sections — entities, dictionary,
-//!   links, keyphrases, weights — each length-prefixed and individually
-//!   FNV-checksummed, decoding straight into the flat arrays of a
-//!   [`FrozenKb`]. Written by [`write_frozen_snapshot`], read by
-//!   [`read_frozen_snapshot`], which also accepts v2 streams via a
-//!   freeze-on-load path. Per-section framing is what later PRs need for
-//!   mmap and lazy per-section loading.
-//!
-//! Snapshots are hardened against corruption: truncation, bit flips, and
-//! version skew all surface as structured [`SnapshotError`]s — never a
-//! panic, never silently garbled data.
+//! Snapshots are hardened against corruption: truncation, bit flips,
+//! missing or repeated sections, and version skew all surface as structured
+//! [`SnapshotError`]s — never a panic, never silently garbled data.
 
 use std::io::{self, Read, Write};
 
@@ -35,7 +29,6 @@ use serde::Serialize;
 use crate::entity::Entity;
 use crate::frozen::{FrozenDictionary, FrozenKb, FrozenLinks, FrozenPhrases};
 use crate::phrase_runs::PhraseRuns;
-use crate::store::KnowledgeBase;
 use crate::weights::WeightModel;
 
 mod codec {
@@ -637,30 +630,20 @@ pub use codec::Error as CodecError;
 const MAGIC: &[u8; 6] = b"AIDAKB";
 
 /// Current snapshot format version: sectioned frames decoding into a
-/// [`FrozenKb`]. Version 1 ("AIDAKB01", no checksum) is rejected with
-/// [`SnapshotError::UnsupportedVersion`]: its version bytes decode as ASCII
-/// `"01"`.
+/// [`FrozenKb`]. Every other version — including version 1 ("AIDAKB01", whose
+/// version bytes decode as ASCII `"01"`) and the retired monolithic
+/// version 2 — is rejected with [`SnapshotError::UnsupportedVersion`].
 pub const FORMAT_VERSION: u16 = 3;
 
-/// The legacy monolithic-body format still written by [`write_snapshot`]
-/// and accepted by [`read_frozen_snapshot`] via freeze-on-load.
-pub const V2_FORMAT_VERSION: u16 = 2;
-
-/// v2 header layout: magic (6) + version u16 (2) + body length u64 (8) +
-/// FNV-1a body checksum u64 (8), all little-endian.
-const HEADER_LEN: usize = 24;
-
-/// v3 header layout: magic (6) + version u16 (2); sections follow.
+/// Header layout: magic (6) + version u16 (2); sections follow.
 const V3_HEADER_LEN: usize = 8;
 
-/// v3 section frame prelude: tag u8 (1) + body length u64 (8) + FNV-1a body
+/// Section frame prelude: tag u8 (1) + body length u64 (8) + FNV-1a body
 /// checksum u64 (8), all little-endian.
 const FRAME_PRELUDE_LEN: usize = 17;
 
-/// v3 section tags, in the order [`write_frozen_snapshot`] emits them.
-/// `PHRASE_RUNS` is *optional on read*: snapshots written before the
-/// phrase-run cache existed simply lack the frame, and the loader rebuilds
-/// the structure from keyphrases + weights.
+/// Section tags, in the order [`write_frozen_snapshot`] emits them. Every
+/// section is required on read, and each may appear only once.
 mod tag {
     pub const ENTITIES: u8 = 1;
     pub const DICTIONARY: u8 = 2;
@@ -670,7 +653,7 @@ mod tag {
     pub const PHRASE_RUNS: u8 = 6;
 }
 
-/// Human-readable section name of a v3 tag (for error reporting).
+/// Human-readable section name of a tag (for error reporting).
 fn section_name(t: u8) -> Option<&'static str> {
     match t {
         tag::ENTITIES => Some("entities"),
@@ -683,7 +666,7 @@ fn section_name(t: u8) -> Option<&'static str> {
     }
 }
 
-/// FNV-1a over the snapshot body; not cryptographic, but any truncation or
+/// FNV-1a over a section body; not cryptographic, but any truncation or
 /// stray bit flip changes it with overwhelming probability. Shared with the
 /// WAL's per-record checksums ([`crate::wal`]).
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
@@ -705,96 +688,7 @@ pub fn decode<T: DeserializeOwned>(bytes: &[u8]) -> Result<T, CodecError> {
     codec::from_bytes(bytes)
 }
 
-/// Writes a legacy v2 knowledge-base snapshot (hardened header + one
-/// monolithic encoded body). Kept alongside the v3 writer as the migration
-/// fixture generator and for build pipelines that still produce the
-/// mutable-shaped [`KnowledgeBase`].
-pub fn write_snapshot<W: Write>(kb: &KnowledgeBase, mut writer: W) -> Result<(), NedError> {
-    let body = encode(kb).map_err(|e| NedError::Snapshot(SnapshotError::Codec(e.to_string())))?;
-    let mut header = [0u8; HEADER_LEN];
-    header[..6].copy_from_slice(MAGIC); // ned-lint: allow(p1) — fixed-size buffer, constant bounds
-    header[6..8].copy_from_slice(&V2_FORMAT_VERSION.to_le_bytes()); // ned-lint: allow(p1) — fixed-size buffer, constant bounds
-    header[8..16].copy_from_slice(&(body.len() as u64).to_le_bytes()); // ned-lint: allow(p1) — fixed-size buffer, constant bounds
-    header[16..24].copy_from_slice(&fnv1a(&body).to_le_bytes()); // ned-lint: allow(p1) — fixed-size buffer, constant bounds
-    writer
-        .write_all(&header)
-        .and_then(|()| writer.write_all(&body))
-        .map_err(|e| NedError::io("writing snapshot", e))
-}
-
-/// Reads a legacy v2 knowledge-base snapshot, verifying magic, version,
-/// length, and checksum, and rebuilds transient indexes.
-///
-/// Corruption never panics: a truncated, bit-flipped, or version-skewed
-/// stream yields the matching [`SnapshotError`]. Use
-/// [`read_frozen_snapshot`] for the version-dispatching loader that accepts
-/// both v2 and v3.
-pub fn read_snapshot<R: Read>(mut reader: R) -> Result<KnowledgeBase, NedError> {
-    let mut header = [0u8; HEADER_LEN];
-    read_up_to(&mut reader, &mut header) // ned-lint: allow(p1) — fixed-size buffer, constant bounds
-        .map_err(|e| NedError::io("reading snapshot header", e))
-        .and_then(|got| {
-            if got < HEADER_LEN {
-                // A stream shorter than the header cannot carry the magic.
-                if got < 6 || &header[..6] != MAGIC {
-                    Err(SnapshotError::BadMagic.into())
-                } else {
-                    Err(SnapshotError::Truncated { expected: HEADER_LEN as u64, actual: got as u64 }
-                        .into())
-                }
-            } else {
-                Ok(())
-            }
-        })?;
-    if &header[..6] != MAGIC { // ned-lint: allow(p1) — fixed-size buffer, constant bounds
-        return Err(SnapshotError::BadMagic.into());
-    }
-    let version = u16::from_le_bytes([header[6], header[7]]); // ned-lint: allow(p1) — fixed-size buffer, constant bounds
-    if version != V2_FORMAT_VERSION {
-        return Err(SnapshotError::UnsupportedVersion {
-            found: version,
-            supported: V2_FORMAT_VERSION,
-        }
-        .into());
-    }
-    let len = u64::from_le_bytes(header[8..16].try_into().unwrap_or([0; 8])); // ned-lint: allow(p1) — fixed-size buffer, constant bounds
-    let expected_checksum = u64::from_le_bytes(header[16..24].try_into().unwrap_or([0; 8])); // ned-lint: allow(p1) — fixed-size buffer, constant bounds
-    read_v2_rest(&mut reader, len, expected_checksum)
-}
-
-/// Reads and validates a v2 body (length, checksum, decode) and rebuilds
-/// the transient indexes. The 24-byte header has already been consumed.
-fn read_v2_rest<R: Read>(
-    reader: &mut R,
-    len: u64,
-    expected_checksum: u64,
-) -> Result<KnowledgeBase, NedError> {
-    // Read through `take` instead of preallocating `len` bytes: a corrupted
-    // length must not trigger a huge allocation.
-    let mut body = Vec::new();
-    reader
-        .by_ref()
-        .take(len)
-        .read_to_end(&mut body)
-        .map_err(|e| NedError::io("reading snapshot body", e))?;
-    if body.len() as u64 != len {
-        return Err(SnapshotError::Truncated { expected: len, actual: body.len() as u64 }.into());
-    }
-    let actual_checksum = fnv1a(&body);
-    if actual_checksum != expected_checksum {
-        return Err(SnapshotError::ChecksumMismatch {
-            expected: expected_checksum,
-            actual: actual_checksum,
-        }
-        .into());
-    }
-    let mut kb: KnowledgeBase =
-        decode(&body).map_err(|e| NedError::Snapshot(SnapshotError::Codec(e.to_string())))?;
-    kb.rebuild_indexes();
-    Ok(kb)
-}
-
-/// Encodes one value as a v3 section frame: tag, body length, FNV-1a body
+/// Encodes one value as a section frame: tag, body length, FNV-1a body
 /// checksum, body.
 fn write_section<W: Write, T: Serialize>(
     writer: &mut W,
@@ -813,10 +707,10 @@ fn write_section<W: Write, T: Serialize>(
         .map_err(|e| NedError::io("writing snapshot section", e))
 }
 
-/// Writes a v3 sectioned snapshot of a [`FrozenKb`]: the 8-byte header
+/// Writes a sectioned snapshot of a [`FrozenKb`]: the 8-byte header
 /// followed by the six section frames (entities, dictionary, links,
 /// keyphrases, weights, phrase_runs), each length-prefixed and individually
-/// checksummed. The trailing phrase-run frame is optional on read.
+/// checksummed.
 pub fn write_frozen_snapshot<W: Write>(kb: &FrozenKb, mut writer: W) -> Result<(), NedError> {
     let mut header = [0u8; V3_HEADER_LEN];
     header[..6].copy_from_slice(MAGIC); // ned-lint: allow(p1) — fixed-size buffer, constant bounds
@@ -832,7 +726,7 @@ pub fn write_frozen_snapshot<W: Write>(kb: &FrozenKb, mut writer: W) -> Result<(
     Ok(())
 }
 
-/// Decoded v3 sections, accumulated while walking the frame stream.
+/// Decoded sections, accumulated while walking the frame stream.
 #[derive(Debug, Default)]
 struct Sections {
     entities: Option<Vec<Entity>>,
@@ -840,12 +734,26 @@ struct Sections {
     links: Option<FrozenLinks>,
     keyphrases: Option<FrozenPhrases>,
     weights: Option<WeightModel>,
-    /// Optional: absent in snapshots written before the phrase-run cache;
-    /// `assemble` rebuilds it when `None`.
     phrase_runs: Option<PhraseRuns>,
 }
 
 impl Sections {
+    /// Decodes `body` into an empty `slot`; a slot already filled by an
+    /// earlier frame is [`SnapshotError::DuplicateSection`].
+    fn fill<T: DeserializeOwned>(
+        slot: &mut Option<T>,
+        section: &'static str,
+        body: &[u8],
+    ) -> Result<(), NedError> {
+        if slot.is_some() {
+            return Err(SnapshotError::DuplicateSection { section }.into());
+        }
+        let value = decode(body)
+            .map_err(|e| NedError::Snapshot(SnapshotError::Codec(format!("{section}: {e}"))))?;
+        *slot = Some(value);
+        Ok(())
+    }
+
     fn take<T>(slot: Option<T>, section: &'static str) -> Result<T, NedError> {
         slot.ok_or_else(|| SnapshotError::MissingSection { section }.into())
     }
@@ -857,12 +765,12 @@ impl Sections {
             Self::take(self.links, "links")?,
             Self::take(self.keyphrases, "keyphrases")?,
             Self::take(self.weights, "weights")?,
-            self.phrase_runs,
+            Some(Self::take(self.phrase_runs, "phrase_runs")?),
         ))
     }
 }
 
-/// Reads one v3 section body, validating the frame's length and checksum.
+/// Reads one section body, validating the frame's length and checksum.
 fn read_section_body<R: Read>(
     reader: &mut R,
     section: &'static str,
@@ -870,6 +778,8 @@ fn read_section_body<R: Read>(
 ) -> Result<Vec<u8>, NedError> {
     let len = u64::from_le_bytes(prelude[1..9].try_into().unwrap_or([0; 8])); // ned-lint: allow(p1) — fixed-size buffer, constant bounds
     let expected_checksum = u64::from_le_bytes(prelude[9..17].try_into().unwrap_or([0; 8])); // ned-lint: allow(p1) — fixed-size buffer, constant bounds
+    // Read through `take` instead of preallocating `len` bytes: a corrupted
+    // length must not trigger a huge allocation.
     let mut body = Vec::new();
     reader
         .by_ref()
@@ -896,31 +806,32 @@ fn read_section_body<R: Read>(
     Ok(body)
 }
 
-/// Reads a snapshot of either format into the read-optimized [`FrozenKb`].
+/// Reads a snapshot into the read-optimized [`FrozenKb`].
 ///
-/// - A **v3** stream decodes section-by-section straight into the flat
-///   arrays, validating each frame's length and checksum independently
-///   ([`SnapshotError::SectionTruncated`] /
-///   [`SnapshotError::SectionChecksumMismatch`] name the failing section).
-///   The five classic sections are required
-///   ([`SnapshotError::MissingSection`]); the trailing phrase-run section
-///   is optional (rebuilt when absent); an unrecognized tag is rejected
-///   ([`SnapshotError::UnknownSection`]).
-/// - A **v2** stream is decoded through the legacy path and frozen on load,
-///   so old snapshots keep working across the migration.
+/// The stream decodes section-by-section straight into the flat arrays,
+/// validating each frame's length and checksum independently
+/// ([`SnapshotError::SectionTruncated`] /
+/// [`SnapshotError::SectionChecksumMismatch`] name the failing section).
+/// All six sections are required ([`SnapshotError::MissingSection`]), each
+/// at most once ([`SnapshotError::DuplicateSection`]); an unrecognized tag is
+/// rejected ([`SnapshotError::UnknownSection`]), and so is any format
+/// version other than [`FORMAT_VERSION`]
+/// ([`SnapshotError::UnsupportedVersion`]).
 ///
-/// Every decode path funnels through the same constructor, so the transient
-/// indexes (`entity_by_name`, keyphrase inverted index) are always rebuilt —
-/// a loaded KB is indistinguishable from a freshly frozen one.
+/// Decoding funnels through the same constructor as [`FrozenKb::freeze`],
+/// so the transient indexes (`entity_by_name`, keyphrase inverted index)
+/// are always rebuilt — a loaded KB is indistinguishable from a freshly
+/// frozen one. A phrase-run section that does not fit the other sections'
+/// shape is rebuilt rather than trusted.
 pub fn read_frozen_snapshot<R: Read>(reader: R) -> Result<FrozenKb, NedError> {
     read_frozen_snapshot_observed(reader, &Metrics::disabled())
 }
 
 /// [`read_frozen_snapshot`] with load observability: records the read span,
-/// a decoded-section counter, the v2-fallback counter, and per-section body
-/// sizes as gauges (`snapshot_section_bytes_<name>`, plus
-/// `snapshot_bytes_total`) into the given registry. Pass
-/// [`Metrics::disabled`] (or call the plain reader) to skip accounting.
+/// a decoded-section counter, and per-section body sizes as gauges
+/// (`snapshot_section_bytes_<name>`, plus `snapshot_bytes_total`) into the
+/// given registry. Pass [`Metrics::disabled`] (or call the plain reader) to
+/// skip accounting.
 pub fn read_frozen_snapshot_observed<R: Read>(
     mut reader: R,
     metrics: &Metrics,
@@ -929,38 +840,15 @@ pub fn read_frozen_snapshot_observed<R: Read>(
     let mut header = [0u8; V3_HEADER_LEN];
     let got = read_up_to(&mut reader, &mut header)
         .map_err(|e| NedError::io("reading snapshot header", e))?;
+    if got < 6 || &header[..6] != MAGIC { // ned-lint: allow(p1) — fixed-size buffer, constant bounds
+        return Err(SnapshotError::BadMagic.into());
+    }
     if got < V3_HEADER_LEN {
-        if got < 6 || &header[..6] != MAGIC { // ned-lint: allow(p1) — fixed-size buffer, constant bounds
-            return Err(SnapshotError::BadMagic.into());
-        }
         return Err(
             SnapshotError::Truncated { expected: V3_HEADER_LEN as u64, actual: got as u64 }.into()
         );
     }
-    if &header[..6] != MAGIC { // ned-lint: allow(p1) — fixed-size buffer, constant bounds
-        return Err(SnapshotError::BadMagic.into());
-    }
     let version = u16::from_le_bytes([header[6], header[7]]); // ned-lint: allow(p1) — fixed-size buffer, constant bounds
-    if version == V2_FORMAT_VERSION {
-        // Legacy monolithic body: finish the 24-byte header, decode the
-        // mutable-shaped KB, and freeze it on the way in.
-        let mut rest = [0u8; HEADER_LEN - V3_HEADER_LEN];
-        let got = read_up_to(&mut reader, &mut rest)
-            .map_err(|e| NedError::io("reading snapshot header", e))?;
-        if got < rest.len() {
-            return Err(SnapshotError::Truncated {
-                expected: HEADER_LEN as u64,
-                actual: (V3_HEADER_LEN + got) as u64,
-            }
-            .into());
-        }
-        let len = u64::from_le_bytes(rest[..8].try_into().unwrap_or([0; 8])); // ned-lint: allow(p1) — fixed-size buffer, constant bounds
-        let expected_checksum = u64::from_le_bytes(rest[8..16].try_into().unwrap_or([0; 8])); // ned-lint: allow(p1) — fixed-size buffer, constant bounds
-        let kb = read_v2_rest(&mut reader, len, expected_checksum)?;
-        metrics.counter(names::SNAPSHOT_V2_FALLBACK).inc();
-        metrics.gauge(names::SNAPSHOT_BYTES_TOTAL).set(HEADER_LEN as u64 + len);
-        return Ok(FrozenKb::freeze(&kb));
-    }
     if version != FORMAT_VERSION {
         return Err(
             SnapshotError::UnsupportedVersion { found: version, supported: FORMAT_VERSION }.into()
@@ -993,15 +881,13 @@ pub fn read_frozen_snapshot_observed<R: Read>(
         metrics.gauge(&section_gauge).set(body.len() as u64);
         sections_decoded.inc();
         total_bytes += (FRAME_PRELUDE_LEN + body.len()) as u64;
-        let codec_err =
-            |e: CodecError| NedError::Snapshot(SnapshotError::Codec(format!("{section}: {e}")));
         match prelude[0] { // ned-lint: allow(p1) — fixed-size buffer, constant bounds
-            tag::ENTITIES => sections.entities = Some(decode(&body).map_err(codec_err)?),
-            tag::DICTIONARY => sections.dictionary = Some(decode(&body).map_err(codec_err)?),
-            tag::LINKS => sections.links = Some(decode(&body).map_err(codec_err)?),
-            tag::KEYPHRASES => sections.keyphrases = Some(decode(&body).map_err(codec_err)?),
-            tag::WEIGHTS => sections.weights = Some(decode(&body).map_err(codec_err)?),
-            tag::PHRASE_RUNS => sections.phrase_runs = Some(decode(&body).map_err(codec_err)?),
+            tag::ENTITIES => Sections::fill(&mut sections.entities, section, &body)?,
+            tag::DICTIONARY => Sections::fill(&mut sections.dictionary, section, &body)?,
+            tag::LINKS => Sections::fill(&mut sections.links, section, &body)?,
+            tag::KEYPHRASES => Sections::fill(&mut sections.keyphrases, section, &body)?,
+            tag::WEIGHTS => Sections::fill(&mut sections.weights, section, &body)?,
+            tag::PHRASE_RUNS => Sections::fill(&mut sections.phrase_runs, section, &body)?,
             other => return Err(SnapshotError::UnknownSection { tag: other }.into()),
         }
     }
@@ -1030,6 +916,7 @@ pub(crate) fn read_up_to<R: Read>(reader: &mut R, buf: &mut [u8]) -> io::Result<
 mod tests {
     use super::*;
     use crate::entity::EntityKind;
+    use crate::store::KnowledgeBase;
     use crate::KbBuilder;
 
     fn sample_kb() -> KnowledgeBase {
@@ -1044,85 +931,54 @@ mod tests {
         b.build()
     }
 
-    #[test]
-    fn roundtrip_preserves_kb() {
+    /// The sample KB frozen and written as a snapshot.
+    fn sample_snapshot() -> (KnowledgeBase, FrozenKb, Vec<u8>) {
         let kb = sample_kb();
+        let fz = FrozenKb::freeze(&kb);
         let mut buf = Vec::new();
-        write_snapshot(&kb, &mut buf).unwrap();
-        let kb2 = read_snapshot(buf.as_slice()).unwrap();
-        assert_eq!(kb2.entity_count(), kb.entity_count());
-        let a = kb2.entity_by_name("Alpha Band").unwrap();
-        assert_eq!(kb2.entity(a).canonical_name, "Alpha Band");
-        assert_eq!(kb2.candidates("Alpha").len(), 2);
-        assert_eq!(kb2.keyphrases(a).len(), 1);
-        // Weight model round-trips numerically.
-        let w = kb2.word_id("rock").unwrap();
-        assert_eq!(kb2.weights().keyword_npmi(a, w), kb.weights().keyword_npmi(a, w));
+        write_frozen_snapshot(&fz, &mut buf).unwrap();
+        (kb, fz, buf)
     }
 
-    #[test]
-    fn rejects_bad_magic() {
-        let err = read_snapshot(&b"NOTAKB00rest_of_a_header_xx"[..]).unwrap_err();
-        assert!(matches!(err, NedError::Snapshot(SnapshotError::BadMagic)), "{err}");
-        // Too short to even hold the magic.
-        let err = read_snapshot(&b"AI"[..]).unwrap_err();
-        assert!(matches!(err, NedError::Snapshot(SnapshotError::BadMagic)), "{err}");
+    /// Byte offsets of every frame start, in stream order.
+    fn frame_starts(buf: &[u8]) -> Vec<usize> {
+        let mut starts = Vec::new();
+        let mut pos = V3_HEADER_LEN;
+        while pos < buf.len() {
+            starts.push(pos);
+            let body_len =
+                u64::from_le_bytes(buf[pos + 1..pos + 9].try_into().unwrap()) as usize;
+            pos += FRAME_PRELUDE_LEN + body_len;
+        }
+        starts
+    }
+
+    /// A well-formed frame carrying `value` under `section_tag`.
+    fn frame<T: Serialize>(section_tag: u8, value: &T) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_section(&mut out, section_tag, value).unwrap();
+        out
     }
 
     #[test]
     fn rejects_version_skew() {
-        // A v1 snapshot started with the ASCII bytes "AIDAKB01".
-        let mut old = Vec::from(&b"AIDAKB01"[..]);
-        old.extend_from_slice(&[0u8; 32]);
-        let err = read_snapshot(old.as_slice()).unwrap_err();
-        match err {
-            NedError::Snapshot(SnapshotError::UnsupportedVersion { found, supported }) => {
-                assert_eq!(supported, V2_FORMAT_VERSION);
-                assert_ne!(found, V2_FORMAT_VERSION);
+        let (_, _, buf) = sample_snapshot();
+        // A v1 snapshot started with the ASCII bytes "AIDAKB01"; a future
+        // version is skew too.
+        let mut v1 = Vec::from(&b"AIDAKB01"[..]);
+        v1.extend_from_slice(&buf[V3_HEADER_LEN..]);
+        let mut future = buf.clone();
+        future[6..8].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
+        for (stream, found) in
+            [(v1, u16::from_le_bytes(*b"01")), (future, FORMAT_VERSION + 1)]
+        {
+            match read_frozen_snapshot(stream.as_slice()).unwrap_err() {
+                NedError::Snapshot(SnapshotError::UnsupportedVersion { found: f, supported }) => {
+                    assert_eq!(f, found);
+                    assert_eq!(supported, FORMAT_VERSION);
+                }
+                other => panic!("expected version skew, got {other}"),
             }
-            other => panic!("expected version skew, got {other}"),
-        }
-        // The legacy reader only accepts v2 — a v3 header is version skew to
-        // it (read_frozen_snapshot is the version-dispatching loader).
-        let kb = sample_kb();
-        let mut buf = Vec::new();
-        write_snapshot(&kb, &mut buf).unwrap();
-        buf[6..8].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
-        assert!(matches!(
-            read_snapshot(buf.as_slice()),
-            Err(NedError::Snapshot(SnapshotError::UnsupportedVersion { .. }))
-        ));
-        // A future version is rejected by both readers.
-        let future = FORMAT_VERSION + 1;
-        buf[6..8].copy_from_slice(&future.to_le_bytes());
-        assert!(matches!(
-            read_snapshot(buf.as_slice()),
-            Err(NedError::Snapshot(SnapshotError::UnsupportedVersion { .. }))
-        ));
-        match read_frozen_snapshot(buf.as_slice()).unwrap_err() {
-            NedError::Snapshot(SnapshotError::UnsupportedVersion { found, supported }) => {
-                assert_eq!(found, future);
-                assert_eq!(supported, FORMAT_VERSION);
-            }
-            other => panic!("expected version skew, got {other}"),
-        }
-    }
-
-    #[test]
-    fn checksum_catches_body_corruption() {
-        let kb = sample_kb();
-        let mut buf = Vec::new();
-        write_snapshot(&kb, &mut buf).unwrap();
-        for pos in HEADER_LEN..buf.len() {
-            let mut corrupted = buf.clone();
-            corrupted[pos] ^= 0x01;
-            assert!(
-                matches!(
-                    read_snapshot(corrupted.as_slice()),
-                    Err(NedError::Snapshot(SnapshotError::ChecksumMismatch { .. }))
-                ),
-                "flip at byte {pos} was not caught"
-            );
         }
     }
 
@@ -1160,31 +1016,6 @@ mod tests {
     }
 
     #[test]
-    fn corrupted_snapshots_error_instead_of_panicking() {
-        let kb = sample_kb();
-        let mut buf = Vec::new();
-        write_snapshot(&kb, &mut buf).unwrap();
-        // Truncations at every prefix length must error cleanly.
-        for cut in 0..buf.len() {
-            assert!(read_snapshot(&buf[..cut]).is_err(), "cut at {cut} did not error");
-        }
-        // A corrupted length header must not allocate terabytes.
-        let mut huge = buf.clone();
-        huge[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(matches!(
-            read_snapshot(huge.as_slice()),
-            Err(NedError::Snapshot(SnapshotError::Truncated { .. }))
-        ));
-        // Single-byte corruptions anywhere (header or body) must error, not
-        // panic or decode silently garbled data.
-        for pos in 0..buf.len() {
-            let mut corrupted = buf.clone();
-            corrupted[pos] ^= 0xff;
-            assert!(read_snapshot(corrupted.as_slice()).is_err(), "flip at {pos} slipped through");
-        }
-    }
-
-    #[test]
     fn codec_rejects_truncated_input() {
         let bytes = encode(&"a longer string".to_string()).unwrap();
         assert!(decode::<String>(&bytes[..bytes.len() - 2]).is_err());
@@ -1202,15 +1033,15 @@ mod tests {
         for e in kb.entity_ids() {
             assert_eq!(fz.prior("Alpha", e).to_bits(), kb.prior("Alpha", e).to_bits());
         }
-        assert_eq!(fz.keyphrase_index().posting_count(), kb.keyphrase_index().posting_count());
+        assert_eq!(
+            fz.keyphrase_index().posting_count(),
+            FrozenKb::freeze(kb).keyphrase_index().posting_count()
+        );
     }
 
     #[test]
     fn v3_roundtrip_preserves_frozen_kb() {
-        let kb = sample_kb();
-        let fz = FrozenKb::freeze(&kb);
-        let mut buf = Vec::new();
-        write_frozen_snapshot(&fz, &mut buf).unwrap();
+        let (kb, _, buf) = sample_snapshot();
         assert_eq!(u16::from_le_bytes([buf[6], buf[7]]), FORMAT_VERSION);
         let fz2 = read_frozen_snapshot(buf.as_slice()).unwrap();
         assert_frozen_matches(&fz2, &kb);
@@ -1221,21 +1052,8 @@ mod tests {
     }
 
     #[test]
-    fn v2_snapshots_freeze_on_load() {
-        let kb = sample_kb();
-        let mut buf = Vec::new();
-        write_snapshot(&kb, &mut buf).unwrap();
-        assert_eq!(u16::from_le_bytes([buf[6], buf[7]]), V2_FORMAT_VERSION);
-        let fz = read_frozen_snapshot(buf.as_slice()).unwrap();
-        assert_frozen_matches(&fz, &kb);
-    }
-
-    #[test]
     fn v3_section_corruption_names_the_section() {
-        let kb = sample_kb();
-        let fz = FrozenKb::freeze(&kb);
-        let mut buf = Vec::new();
-        write_frozen_snapshot(&fz, &mut buf).unwrap();
+        let (_, _, buf) = sample_snapshot();
         // The first frame after the 8-byte header is the entities section;
         // flip a byte inside its body.
         let body_len =
@@ -1251,7 +1069,7 @@ mod tests {
         }
         // Every single-byte flip anywhere in the stream must error, never
         // panic or decode garbage.
-        for pos in V3_HEADER_LEN..buf.len() {
+        for pos in 0..buf.len() {
             let mut corrupted = buf.clone();
             corrupted[pos] ^= 0xff;
             assert!(
@@ -1259,106 +1077,91 @@ mod tests {
                 "flip at {pos} slipped through"
             );
         }
-        // Truncations at every prefix length must error cleanly too — with
-        // one exception: a cut exactly at the start of the trailing
-        // phrase-run frame looks like a clean end-of-stream, and that
-        // section is optional by design (rebuilt on load).
-        let phrase_runs_start = frame_starts(&buf).pop().unwrap();
+        // Every strict prefix must error cleanly too: all sections are
+        // required, so no cut looks like a complete stream.
         for cut in 0..buf.len() {
-            if cut == phrase_runs_start {
-                let fz2 = read_frozen_snapshot(&buf[..cut]).unwrap();
-                assert_frozen_matches(&fz2, &kb);
-                continue;
-            }
             assert!(read_frozen_snapshot(&buf[..cut]).is_err(), "cut at {cut} did not error");
         }
-    }
-
-    /// Byte offsets of every v3 frame start, in stream order.
-    fn frame_starts(buf: &[u8]) -> Vec<usize> {
-        let mut starts = Vec::new();
-        let mut pos = V3_HEADER_LEN;
-        while pos < buf.len() {
-            starts.push(pos);
-            let body_len =
-                u64::from_le_bytes(buf[pos + 1..pos + 9].try_into().unwrap()) as usize;
-            pos += FRAME_PRELUDE_LEN + body_len;
-        }
-        starts
+        // A corrupted frame length must not allocate terabytes.
+        let mut huge = buf.clone();
+        huge[V3_HEADER_LEN + 1..V3_HEADER_LEN + 9].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            read_frozen_snapshot(huge.as_slice()),
+            Err(NedError::Snapshot(SnapshotError::SectionTruncated { section: "entities", .. }))
+        ));
     }
 
     #[test]
     fn v3_missing_section_is_reported() {
-        let kb = sample_kb();
-        let fz = FrozenKb::freeze(&kb);
-        let mut buf = Vec::new();
-        write_frozen_snapshot(&fz, &mut buf).unwrap();
-        // Drop the trailing frames from the weights section on (the
-        // phrase-run frame alone is optional; weights are not).
+        let (_, _, buf) = sample_snapshot();
         let starts = frame_starts(&buf);
-        let weights_start = starts[starts.len() - 2];
-        match read_frozen_snapshot(&buf[..weights_start]).unwrap_err() {
-            NedError::Snapshot(SnapshotError::MissingSection { section }) => {
-                assert_eq!(section, "weights");
+        assert_eq!(starts.len(), 6, "expected six frames");
+        // Cutting at a frame start drops that section and every later one;
+        // the first missing section is reported.
+        for (start, section) in [(starts[4], "weights"), (starts[5], "phrase_runs")] {
+            match read_frozen_snapshot(&buf[..start]).unwrap_err() {
+                NedError::Snapshot(SnapshotError::MissingSection { section: s }) => {
+                    assert_eq!(s, section);
+                }
+                other => panic!("expected missing {section}, got {other}"),
             }
-            other => panic!("expected missing section, got {other}"),
         }
     }
 
     #[test]
-    fn v3_phrase_run_section_is_optional_and_roundtrips() {
-        let kb = sample_kb();
-        let fz = FrozenKb::freeze(&kb);
-        let mut buf = Vec::new();
-        write_frozen_snapshot(&fz, &mut buf).unwrap();
+    fn v3_phrase_run_section_roundtrips_and_misfit_is_rebuilt() {
+        let (_, fz, buf) = sample_snapshot();
         let starts = frame_starts(&buf);
-        assert_eq!(starts.len(), 6, "expected six frames");
-        assert_eq!(buf[*starts.last().unwrap()], 6, "phrase-run frame tag");
+        let phrase_runs_start = *starts.last().unwrap();
+        assert_eq!(buf[phrase_runs_start], tag::PHRASE_RUNS, "phrase-run frame tag");
 
-        // Reading the full stream decodes the persisted runs; reading a
-        // stream cut before the phrase-run frame rebuilds them. Both paths
-        // must agree exactly with the freshly frozen structure.
-        let with_section = read_frozen_snapshot(buf.as_slice()).unwrap();
-        let without_section =
-            read_frozen_snapshot(&buf[..*starts.last().unwrap()]).unwrap();
-        assert_eq!(with_section.phrase_runs(), fz.phrase_runs());
-        assert_eq!(without_section.phrase_runs(), fz.phrase_runs());
-        assert_eq!(
-            with_section.stats().phrase_run_bytes,
-            without_section.stats().phrase_run_bytes
-        );
+        // The persisted runs decode to exactly the freshly frozen structure.
+        let loaded = read_frozen_snapshot(buf.as_slice()).unwrap();
+        assert_eq!(loaded.phrase_runs(), fz.phrase_runs());
+        assert_eq!(loaded.stats().phrase_run_bytes, fz.stats().phrase_run_bytes);
 
         // A shape-mismatched phrase-run section (decodes fine but does not
         // fit the KB's dimensions) is discarded and rebuilt, not trusted.
-        let mut swapped = Vec::new();
-        write_frozen_snapshot(&fz, &mut swapped).unwrap();
         let foreign = {
-            let other = {
-                let mut b = KbBuilder::new();
-                let e = b.add_entity("Lone", EntityKind::Other);
-                b.add_keyphrase(e, "single phrase", 1);
-                b.build()
-            };
-            FrozenKb::freeze(&other).phrase_runs().clone()
+            let mut b = KbBuilder::new();
+            let e = b.add_entity("Lone", EntityKind::Other);
+            b.add_keyphrase(e, "single phrase", 1);
+            FrozenKb::freeze(&b.build()).phrase_runs().clone()
         };
-        swapped.truncate(*starts.last().unwrap());
-        let body = encode(&foreign).unwrap();
-        let mut prelude = [0u8; FRAME_PRELUDE_LEN];
-        prelude[0] = 6;
-        prelude[1..9].copy_from_slice(&(body.len() as u64).to_le_bytes());
-        prelude[9..17].copy_from_slice(&fnv1a(&body).to_le_bytes());
-        swapped.extend_from_slice(&prelude);
-        swapped.extend_from_slice(&body);
+        let mut swapped = buf[..phrase_runs_start].to_vec();
+        swapped.extend_from_slice(&frame(tag::PHRASE_RUNS, &foreign));
         let rebuilt = read_frozen_snapshot(swapped.as_slice()).unwrap();
         assert_eq!(rebuilt.phrase_runs(), fz.phrase_runs());
     }
 
     #[test]
+    fn v3_duplicate_section_is_rejected() {
+        let (_, fz, buf) = sample_snapshot();
+        // A second, well-formed entities frame must not silently replace
+        // the first one.
+        let mut renamed = fz.sections().0.clone();
+        renamed[0].canonical_name = "Omega".into();
+        let mut doubled = buf.clone();
+        doubled.extend_from_slice(&frame(tag::ENTITIES, &renamed));
+        match read_frozen_snapshot(doubled.as_slice()).unwrap_err() {
+            NedError::Snapshot(SnapshotError::DuplicateSection { section }) => {
+                assert_eq!(section, "entities");
+            }
+            other => panic!("expected duplicate section, got {other}"),
+        }
+        // A repeated frame of the same bytes is rejected as well.
+        let starts = frame_starts(&buf);
+        let mut repeated = buf.clone();
+        repeated.extend_from_slice(&buf[starts[5]..]);
+        assert!(matches!(
+            read_frozen_snapshot(repeated.as_slice()),
+            Err(NedError::Snapshot(SnapshotError::DuplicateSection { section: "phrase_runs" }))
+        ));
+    }
+
+    #[test]
     fn v3_unknown_tag_is_rejected() {
-        let kb = sample_kb();
-        let fz = FrozenKb::freeze(&kb);
-        let mut buf = Vec::new();
-        write_frozen_snapshot(&fz, &mut buf).unwrap();
+        let (_, _, buf) = sample_snapshot();
         let mut corrupted = buf.clone();
         corrupted[V3_HEADER_LEN] = 0x77; // entities frame tag → nonsense
         match read_frozen_snapshot(corrupted.as_slice()).unwrap_err() {
@@ -1369,16 +1172,12 @@ mod tests {
 
     #[test]
     fn observed_read_records_section_sizes() {
-        let kb = sample_kb();
-        let fz = FrozenKb::freeze(&kb);
-        let mut buf = Vec::new();
-        write_frozen_snapshot(&fz, &mut buf).unwrap();
+        let (kb, _, buf) = sample_snapshot();
         let m = Metrics::new();
         let fz2 = read_frozen_snapshot_observed(buf.as_slice(), &m).unwrap();
         assert_frozen_matches(&fz2, &kb);
         let snap = m.snapshot();
         assert_eq!(snap.counter(names::SNAPSHOT_SECTIONS_DECODED), 6);
-        assert_eq!(snap.counter(names::SNAPSHOT_V2_FALLBACK), 0);
         assert_eq!(snap.gauge(names::SNAPSHOT_BYTES_TOTAL), buf.len() as u64);
         for section in
             ["entities", "dictionary", "links", "keyphrases", "weights", "phrase_runs"]
@@ -1402,20 +1201,6 @@ mod tests {
             .expect("snapshot read span recorded");
         assert_eq!(span.count, 1);
         assert_eq!(span.sum, 0);
-    }
-
-    #[test]
-    fn observed_read_counts_v2_fallback() {
-        let kb = sample_kb();
-        let mut buf = Vec::new();
-        write_snapshot(&kb, &mut buf).unwrap();
-        let m = Metrics::new();
-        let fz = read_frozen_snapshot_observed(buf.as_slice(), &m).unwrap();
-        assert_frozen_matches(&fz, &kb);
-        let snap = m.snapshot();
-        assert_eq!(snap.counter(names::SNAPSHOT_V2_FALLBACK), 1);
-        assert_eq!(snap.counter(names::SNAPSHOT_SECTIONS_DECODED), 0);
-        assert_eq!(snap.gauge(names::SNAPSHOT_BYTES_TOTAL), buf.len() as u64);
     }
 
     #[test]

@@ -1,24 +1,25 @@
-//! The assembled knowledge base.
-
-use serde::{Deserialize, Serialize};
+//! The assembled knowledge base: the build output of [`KbBuilder`].
+//!
+//! [`KbBuilder`]: crate::builder::KbBuilder
 
 use crate::dictionary::{Candidate, Dictionary};
 use crate::entity::Entity;
 use crate::fx::FxHashMap;
 use crate::ids::{EntityId, PhraseId, WordId};
 use crate::keyphrase::{EntityPhrase, KeyphraseStore};
-use crate::kp_index::KeyphraseIndex;
 use crate::links::LinkGraph;
-use crate::phrase_runs::PhraseRuns;
 use crate::vocab::{PhraseInterner, WordInterner};
 use crate::weights::WeightModel;
 
-/// An immutable knowledge base: entity repository, name dictionary, link
-/// graph, keyphrase store, and precomputed statistical weights.
+/// A built knowledge base: entity repository, name dictionary, link graph,
+/// keyphrase store, and precomputed statistical weights.
 ///
-/// Construct via [`crate::builder::KbBuilder`]; serialize via
-/// [`crate::snapshot`].
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+/// Construct via [`crate::builder::KbBuilder`]. It is not a
+/// [`KbView`](crate::KbView): its only exit to the read path is
+/// [`FrozenKb::freeze`](crate::FrozenKb::freeze), which also builds the
+/// keyphrase index and phrase runs. Snapshots are written from the frozen
+/// form ([`crate::snapshot`]).
+#[derive(Debug, Default, Clone)]
 pub struct KnowledgeBase {
     pub(crate) entities: Vec<Entity>,
     pub(crate) words: WordInterner,
@@ -27,12 +28,7 @@ pub struct KnowledgeBase {
     pub(crate) links: LinkGraph,
     pub(crate) keyphrases: KeyphraseStore,
     pub(crate) weights: WeightModel,
-    #[serde(skip)]
     pub(crate) by_name: FxHashMap<String, EntityId>,
-    #[serde(skip)]
-    pub(crate) kp_index: KeyphraseIndex,
-    #[serde(skip)]
-    pub(crate) phrase_runs: PhraseRuns,
 }
 
 impl KnowledgeBase {
@@ -87,16 +83,6 @@ impl KnowledgeBase {
         &self.keyphrases
     }
 
-    /// The keyphrase inverted index (keyword → (entity, phrase) postings).
-    pub fn keyphrase_index(&self) -> &KeyphraseIndex {
-        &self.kp_index
-    }
-
-    /// Precomputed deduplicated phrase runs and weight masses.
-    pub fn phrase_runs(&self) -> &PhraseRuns {
-        &self.phrase_runs
-    }
-
     /// Word-id sequence of a keyphrase.
     pub fn phrase_words(&self, p: PhraseId) -> &[WordId] {
         self.phrases.words(p)
@@ -130,25 +116,5 @@ impl KnowledgeBase {
     /// The precomputed weight model.
     pub fn weights(&self) -> &WeightModel {
         &self.weights
-    }
-
-    /// Rebuilds transient lookup indexes (after deserialization).
-    pub(crate) fn rebuild_indexes(&mut self) {
-        self.words.rebuild_index();
-        self.phrases.rebuild_index();
-        self.by_name = self
-            .entities
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e.canonical_name.clone(), EntityId::from_index(i)))
-            .collect();
-        self.kp_index = KeyphraseIndex::build(&self.keyphrases, &self.phrases, self.words.len());
-        self.phrase_runs = PhraseRuns::build_raw(
-            self.phrases.len(),
-            self.entities.len(),
-            |e| self.keyphrases.phrases(e),
-            |p| self.phrases.words(p),
-            &self.weights,
-        );
     }
 }

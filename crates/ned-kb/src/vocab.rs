@@ -7,16 +7,14 @@
 //! text tokens.
 
 use ned_core::NedError;
-use serde::{Deserialize, Serialize};
 
 use crate::fx::FxHashMap;
 use crate::ids::{PhraseId, WordId};
 
 /// Interner for single keywords.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct WordInterner {
     words: Vec<String>,
-    #[serde(skip)]
     index: FxHashMap<String, WordId>,
 }
 
@@ -70,22 +68,12 @@ impl WordInterner {
         self.words.is_empty()
     }
 
-    /// Rebuilds the lookup index after deserialization.
-    pub(crate) fn rebuild_index(&mut self) {
-        self.index = self
-            .words
-            .iter()
-            .enumerate()
-            .map(|(i, w)| (w.clone(), WordId::from_index(i)))
-            .collect();
-    }
-
     /// Reconstructs an interner from already-lowercased words in id order
     /// (the thaw path of [`crate::delta`]): word `i` keeps id `i`.
     pub(crate) fn from_words(words: Vec<String>) -> Self {
-        let mut interner = WordInterner { words, index: FxHashMap::default() };
-        interner.rebuild_index();
-        interner
+        let index =
+            words.iter().enumerate().map(|(i, w)| (w.clone(), WordId::from_index(i))).collect();
+        WordInterner { words, index }
     }
 }
 
@@ -93,11 +81,10 @@ impl WordInterner {
 ///
 /// Two phrases with the same word sequence share a [`PhraseId`]; the original
 /// surface string of the first occurrence is kept for display.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct PhraseInterner {
     phrases: Vec<Vec<WordId>>,
     surfaces: Vec<String>,
-    #[serde(skip)]
     index: FxHashMap<Vec<WordId>, PhraseId>,
 }
 
@@ -171,22 +158,12 @@ impl PhraseInterner {
         self.phrases.is_empty()
     }
 
-    /// Rebuilds the lookup index after deserialization.
-    pub(crate) fn rebuild_index(&mut self) {
-        self.index = self
-            .phrases
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.clone(), PhraseId::from_index(i)))
-            .collect();
-    }
-
     /// Reconstructs an interner from parallel phrase/surface rows in id
     /// order (the thaw path of [`crate::delta`]): phrase `i` keeps id `i`.
     pub(crate) fn from_parts(phrases: Vec<Vec<WordId>>, surfaces: Vec<String>) -> Self {
-        let mut interner = PhraseInterner { phrases, surfaces, index: FxHashMap::default() };
-        interner.rebuild_index();
-        interner
+        let index =
+            phrases.iter().enumerate().map(|(i, p)| (p.clone(), PhraseId::from_index(i))).collect();
+        PhraseInterner { phrases, surfaces, index }
     }
 }
 
@@ -271,14 +248,12 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_index_restores_lookup() {
+    fn rows_rebuild_lookup() {
         let mut w = WordInterner::new();
         let mut p = PhraseInterner::new();
         let id = p.intern("session guitarist", &mut w);
-        let mut w2 = w.clone();
-        let mut p2 = p.clone();
-        w2.rebuild_index();
-        p2.rebuild_index();
+        let w2 = WordInterner::from_words(w.words.clone());
+        let p2 = PhraseInterner::from_parts(p.phrases.clone(), p.surfaces.clone());
         assert_eq!(w2.get("session"), w.get("session"));
         assert_eq!(p2.get("session guitarist", &w2), Some(id));
     }

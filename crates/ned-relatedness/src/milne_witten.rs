@@ -12,9 +12,8 @@ use crate::traits::Relatedness;
 
 /// Milne–Witten relatedness over a knowledge base's link graph.
 ///
-/// Generic over the KB representation: pass `&KnowledgeBase` for the legacy
-/// borrowed style or (a clone of) an `Arc<FrozenKb>` for the shared-handle
-/// service style.
+/// Generic over the KB handle: pass `&FrozenKb` for the borrowed style or
+/// (a clone of) an `Arc<FrozenKb>` for the shared-handle service style.
 #[derive(Debug, Clone, Copy)]
 pub struct MilneWitten<K> {
     kb: K,
@@ -61,10 +60,10 @@ impl<K: KbView> Relatedness for MilneWitten<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ned_kb::{EntityKind, KbBuilder, KnowledgeBase};
+    use ned_kb::{EntityKind, FrozenKb, KbBuilder};
 
     /// 6 entities: `a` and `b` share two in-linkers, `c` shares none.
-    fn kb() -> (KnowledgeBase, EntityId, EntityId, EntityId) {
+    fn kb() -> (FrozenKb, EntityId, EntityId, EntityId) {
         let mut builder = KbBuilder::new();
         let a = builder.add_entity("A", EntityKind::Other);
         let b = builder.add_entity("B", EntityKind::Other);
@@ -78,7 +77,7 @@ mod tests {
         builder.add_link(y, b);
         builder.add_link(z, a);
         builder.add_link(z, c);
-        (builder.build(), a, b, c)
+        (FrozenKb::freeze(&builder.build()), a, b, c)
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use ned_kb::{EntityId, KnowledgeBase};
+use ned_kb::{EntityId, FrozenKb};
 use ned_relatedness::{
     CachedRelatedness, InlinkJaccard, KeyphraseCosine, KeywordCosine, Kore, MilneWitten,
     Relatedness,
@@ -14,8 +14,8 @@ use ned_relatedness::{
 use ned_wikigen::config::WorldConfig;
 use ned_wikigen::{ExportedKb, World};
 
-fn kb() -> KnowledgeBase {
-    ExportedKb::build(&World::generate(WorldConfig::tiny(7))).kb
+fn kb() -> FrozenKb {
+    FrozenKb::freeze(&ExportedKb::build(&World::generate(WorldConfig::tiny(7))).kb)
 }
 
 /// Asserts `r(a, b)` and `r(b, a)` agree bit for bit over every pair of

@@ -14,7 +14,7 @@
 
 use aida_ned::aida::{AidaConfig, Disambiguator, NedMethod};
 use aida_ned::apps::{EntityIndex, Query};
-use aida_ned::kb::EntityKind;
+use aida_ned::kb::{EntityKind, FrozenKb};
 use aida_ned::relatedness::MilneWitten;
 use aida_ned::wikigen::config::WorldConfig;
 use aida_ned::wikigen::corpus::conll_like;
@@ -23,7 +23,8 @@ use aida_ned::wikigen::{ExportedKb, World};
 fn main() {
     let world = World::generate(WorldConfig::tiny(77));
     let exported = ExportedKb::build(&world);
-    let kb = &exported.kb;
+    let frozen = FrozenKb::freeze(&exported.kb);
+    let kb = &frozen;
     let corpus = conll_like(&world, &exported, 3, 40);
 
     // Disambiguate and index every document.

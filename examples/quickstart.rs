@@ -6,7 +6,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use aida_ned::aida::{AidaConfig, Disambiguator, NedMethod};
-use aida_ned::kb::{EntityKind, KbBuilder};
+use aida_ned::kb::{EntityKind, FrozenKb, KbBuilder};
 use aida_ned::relatedness::MilneWitten;
 use aida_ned::text::{tokenize, NerConfig, Recognizer};
 
@@ -51,7 +51,7 @@ fn main() {
     ] {
         b.add_link(a, t);
     }
-    let kb = b.build();
+    let kb = FrozenKb::freeze(&b.build());
 
     // 2. Recognize mentions with the rule-based NER.
     let text =

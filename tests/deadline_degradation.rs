@@ -35,7 +35,7 @@ use aida_ned::text::{tokenize, Mention};
 /// A KB whose single surface is shared by `width` entities: one mention
 /// yields a graph wide enough that the solver's first Dijkstra alone
 /// crosses the 1024-charge wall-budget sampling cadence.
-fn wide_kb(width: u32) -> KnowledgeBase {
+fn wide_kb(width: u32) -> FrozenKb {
     let mut b = KbBuilder::new();
     let mut prev = None;
     for i in 0..width {
@@ -47,13 +47,13 @@ fn wide_kb(width: u32) -> KnowledgeBase {
         }
         prev = Some(e);
     }
-    b.build()
+    FrozenKb::freeze(&b.build())
 }
 
 /// Runs one wide-graph document under `clock` with a 6 ms wall budget
 /// (the `Budgeted` rung of the deadline ladder) and returns the reported
 /// degradation plus the metrics snapshot.
-fn run_wide(kb: &KnowledgeBase, clock: Clock) -> (DegradationLevel, aida_ned::obs::MetricsSnapshot)
+fn run_wide(kb: &FrozenKb, clock: Clock) -> (DegradationLevel, aida_ned::obs::MetricsSnapshot)
 {
     // 6 ms remaining → the policy keeps the joint method under a wall
     // budget; this transition itself is pinned here.

@@ -8,7 +8,8 @@ use aida_ned::aida::baselines::PriorOnly;
 use aida_ned::aida::{AidaConfig, Disambiguator, NedMethod};
 use aida_ned::eval::gold::Label;
 use aida_ned::eval::{macro_accuracy, micro_accuracy};
-use aida_ned::kb::snapshot::{read_snapshot, write_snapshot};
+use aida_ned::kb::snapshot::{read_frozen_snapshot, write_frozen_snapshot};
+use aida_ned::kb::FrozenKb;
 use aida_ned::relatedness::{Kore, MilneWitten, Relatedness};
 use aida_ned::wikigen::config::WorldConfig;
 use aida_ned::wikigen::corpus::conll_like;
@@ -39,12 +40,9 @@ fn full_pipeline_beats_the_prior_baseline() {
     let corpus = conll_like(&world, &exported, 5, 80);
     let docs = &corpus.docs; // all docs: this is a method comparison, not tuning
 
-    let prior = PriorOnly::new(&exported.kb);
-    let aida = Disambiguator::new(
-        &exported.kb,
-        MilneWitten::new(&exported.kb),
-        AidaConfig::full(),
-    );
+    let kb = FrozenKb::freeze(&exported.kb);
+    let prior = PriorOnly::new(&kb);
+    let aida = Disambiguator::new(&kb, MilneWitten::new(&kb), AidaConfig::full());
     let prior_acc = micro(&label_pairs(&prior, docs));
     let aida_acc = micro(&label_pairs(&aida, docs));
     assert!(
@@ -60,8 +58,9 @@ fn kore_coherence_works_end_to_end() {
     let exported = ExportedKb::build(&world);
     let corpus = conll_like(&world, &exported, 6, 40);
     let docs = corpus.test();
-    let kore = Kore::new(&exported.kb);
-    let aida = Disambiguator::new(&exported.kb, &kore, AidaConfig::full());
+    let kb = FrozenKb::freeze(&exported.kb);
+    let kore = Kore::new(&kb);
+    let aida = Disambiguator::new(&kb, &kore, AidaConfig::full());
     let pairs = label_pairs(&aida, docs);
     assert!(micro(&pairs) > 0.65);
     let view: Vec<(&[Label], &[Label])> =
@@ -74,11 +73,8 @@ fn disambiguation_is_deterministic_across_runs() {
     let world = World::generate(WorldConfig::tiny(103));
     let exported = ExportedKb::build(&world);
     let corpus = conll_like(&world, &exported, 7, 10);
-    let aida = Disambiguator::new(
-        &exported.kb,
-        MilneWitten::new(&exported.kb),
-        AidaConfig::full(),
-    );
+    let kb = FrozenKb::freeze(&exported.kb);
+    let aida = Disambiguator::new(&kb, MilneWitten::new(&kb), AidaConfig::full());
     for doc in &corpus.docs {
         let a = aida.disambiguate(&doc.tokens, &doc.bare_mentions());
         let b = aida.disambiguate(&doc.tokens, &doc.bare_mentions());
@@ -92,16 +88,13 @@ fn snapshot_roundtrip_preserves_disambiguation_behaviour() {
     let exported = ExportedKb::build(&world);
     let corpus = conll_like(&world, &exported, 8, 6);
 
+    let kb = FrozenKb::freeze(&exported.kb);
     let mut buf = Vec::new();
-    write_snapshot(&exported.kb, &mut buf).expect("snapshot written");
-    let restored = read_snapshot(buf.as_slice()).expect("snapshot read");
+    write_frozen_snapshot(&kb, &mut buf).expect("snapshot written");
+    let restored = read_frozen_snapshot(buf.as_slice()).expect("snapshot read");
     assert_eq!(restored.entity_count(), exported.kb.entity_count());
 
-    let aida_orig = Disambiguator::new(
-        &exported.kb,
-        MilneWitten::new(&exported.kb),
-        AidaConfig::full(),
-    );
+    let aida_orig = Disambiguator::new(&kb, MilneWitten::new(&kb), AidaConfig::full());
     let aida_restored =
         Disambiguator::new(&restored, MilneWitten::new(&restored), AidaConfig::full());
     for doc in &corpus.docs {
@@ -114,8 +107,7 @@ fn snapshot_roundtrip_preserves_disambiguation_behaviour() {
 #[test]
 fn relatedness_measures_are_symmetric_on_real_kb() {
     let world = World::generate(WorldConfig::tiny(105));
-    let exported = ExportedKb::build(&world);
-    let kb = &exported.kb;
+    let kb = &FrozenKb::freeze(&ExportedKb::build(&world).kb);
     let mw = MilneWitten::new(kb);
     let kore = Kore::new(kb);
     let ids: Vec<_> = kb.entity_ids().take(40).collect();

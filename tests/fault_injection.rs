@@ -25,10 +25,8 @@ use std::sync::{Once, OnceLock};
 
 use aida_ned::aida::{AidaConfig, Disambiguator, NedMethod};
 use aida_ned::core::{NedError, SnapshotError};
-use aida_ned::kb::snapshot::{
-    read_frozen_snapshot, read_snapshot, write_snapshot, FORMAT_VERSION, V2_FORMAT_VERSION,
-};
-use aida_ned::kb::{EntityId, EntityKind, KbBuilder};
+use aida_ned::kb::snapshot::{read_frozen_snapshot, write_frozen_snapshot, FORMAT_VERSION};
+use aida_ned::kb::{EntityId, EntityKind, FrozenKb, KbBuilder};
 use aida_ned::relatedness::{MilneWitten, Relatedness};
 use aida_ned::text::tokenize;
 use aida_ned::wikigen::config::WorldConfig;
@@ -107,11 +105,11 @@ impl<M: Relatedness> Relatedness for FaultyRelatedness<M> {
     }
 }
 
-fn test_env() -> (ExportedKb, Vec<GoldDoc>) {
+fn test_env() -> (FrozenKb, Vec<GoldDoc>) {
     let world = World::generate(WorldConfig { entities_per_topic: 100, ..WorldConfig::default() });
     let exported = ExportedKb::build(&world);
     let corpus = conll_like(&world, &exported, 13, 20);
-    (exported, corpus.docs)
+    (FrozenKb::freeze(&exported.kb), corpus.docs)
 }
 
 fn outcome_with<K: ned_kb::KbView, R: Relatedness>(
@@ -144,8 +142,8 @@ fn outcomes_identical(a: &DocOutcome, b: &DocOutcome) -> bool {
 #[test]
 fn ten_percent_poisoned_corpus_completes_with_exact_failure_reporting() {
     install_quiet_hook();
-    let (exported, docs) = test_env();
-    let kb = &exported.kb;
+    let (frozen, docs) = test_env();
+    let kb = &frozen;
     let aida = Disambiguator::new(kb, MilneWitten::new(kb), AidaConfig::full());
 
     // Poison every 10th document — 10% of the corpus.
@@ -197,8 +195,8 @@ fn ten_percent_poisoned_corpus_completes_with_exact_failure_reporting() {
 #[test]
 fn poisoned_run_metrics_match_status_accounting() {
     install_quiet_hook();
-    let (exported, docs) = test_env();
-    let kb = &exported.kb;
+    let (frozen, docs) = test_env();
+    let kb = &frozen;
     // A starved solver pushes every healthy document down the degradation
     // ladder; the poisoned ones fail outright — so the run exercises every
     // `doc_status_*` counter at once.
@@ -266,8 +264,8 @@ fn poisoned_run_metrics_match_status_accounting() {
 #[test]
 fn nth_relatedness_call_panic_fails_exactly_one_document() {
     install_quiet_hook();
-    let (exported, docs) = test_env();
-    let kb = &exported.kb;
+    let (frozen, docs) = test_env();
+    let kb = &frozen;
 
     // Count the total relatedness traffic of a clean single-threaded run.
     let counting = FaultyRelatedness::new(MilneWitten::new(kb));
@@ -301,8 +299,8 @@ fn nth_relatedness_call_panic_fails_exactly_one_document() {
 #[test]
 fn nan_relatedness_never_panics_the_batch() {
     install_quiet_hook();
-    let (exported, docs) = test_env();
-    let kb = &exported.kb;
+    let (frozen, docs) = test_env();
+    let kb = &frozen;
     let nan_measure = FaultyRelatedness::new(MilneWitten::new(kb)).always_nan();
     let aida = Disambiguator::new(kb, &nan_measure, AidaConfig::full());
     let eval = run_method_with_threads(&aida, &docs, 2).expect("thread pool");
@@ -321,8 +319,8 @@ fn nan_relatedness_never_panics_the_batch() {
 fn poisoned_docs_keep_cache_conservation_exact() {
     use aida_ned::relatedness::CachedRelatedness;
     install_quiet_hook();
-    let (exported, docs) = test_env();
-    let kb = &exported.kb;
+    let (frozen, docs) = test_env();
+    let kb = &frozen;
 
     // Measure the clean single-threaded miss traffic through the same
     // cache, so the planted panic lands mid-stream inside a cache miss's
@@ -415,8 +413,8 @@ fn panicking_compute_neither_poisons_a_shard_nor_counts_a_lookup() {
 
 #[test]
 fn empty_and_whitespace_documents_yield_wellformed_empty_results() {
-    let (exported, _) = test_env();
-    let kb = &exported.kb;
+    let (frozen, _) = test_env();
+    let kb = &frozen;
     let aida = Disambiguator::new(kb, MilneWitten::new(kb), AidaConfig::full());
 
     // Completely empty document.
@@ -459,9 +457,9 @@ fn snapshot_fixture() -> &'static [u8] {
         b.add_keyphrase(alpha, "rock guitar", 2);
         b.add_keyphrase(beta, "river delta", 4);
         b.add_link(alpha, beta);
-        let kb = b.build();
+        let kb = FrozenKb::freeze(&b.build());
         let mut buf = Vec::new();
-        write_snapshot(&kb, &mut buf).expect("snapshot written");
+        write_frozen_snapshot(&kb, &mut buf).expect("snapshot written");
         buf
     })
 }
@@ -469,14 +467,19 @@ fn snapshot_fixture() -> &'static [u8] {
 #[test]
 fn truncated_snapshot_fixture_yields_typed_errors() {
     let bytes = snapshot_fixture();
-    // Every strict prefix must fail with a structured snapshot error.
-    for cut in [0, 1, 5, 6, 7, 23, 24, bytes.len() / 2, bytes.len() - 1] {
-        let err = read_snapshot(&bytes[..cut]).expect_err("prefix must not decode");
+    // Every strict prefix must fail with a structured snapshot error: a
+    // cut header, a cut section frame, or a stream that ends before every
+    // (required) section arrived.
+    for cut in 0..bytes.len() {
+        let err = read_frozen_snapshot(&bytes[..cut]).expect_err("prefix must not decode");
         assert!(
             matches!(
                 &err,
                 NedError::Snapshot(
-                    SnapshotError::Truncated { .. } | SnapshotError::BadMagic
+                    SnapshotError::Truncated { .. }
+                        | SnapshotError::BadMagic
+                        | SnapshotError::SectionTruncated { .. }
+                        | SnapshotError::MissingSection { .. }
                 )
             ),
             "cut at {cut}: unexpected error {err}"
@@ -487,16 +490,16 @@ fn truncated_snapshot_fixture_yields_typed_errors() {
 #[test]
 fn bitflipped_snapshot_fixture_yields_typed_errors() {
     let bytes = snapshot_fixture();
-    // Flip one bit in every header byte and in a spread of body bytes.
-    let positions: Vec<usize> =
-        (0..24).chain((24..bytes.len()).step_by(7.max(bytes.len() / 64))).collect();
-    for pos in positions {
-        let mut corrupt = bytes.to_vec();
-        corrupt[pos] ^= 0x10;
-        let err = read_snapshot(corrupt.as_slice())
-            .err()
-            .unwrap_or_else(|| panic!("bit flip at byte {pos} must not decode"));
-        assert!(matches!(err, NedError::Snapshot(_)), "flip at {pos}: got {err}");
+    // Flip every bit of every byte: header, frame preludes, and bodies.
+    for pos in 0..bytes.len() {
+        for bit in 0..8 {
+            let mut corrupt = bytes.to_vec();
+            corrupt[pos] ^= 1u8 << bit;
+            let err = read_frozen_snapshot(corrupt.as_slice())
+                .err()
+                .unwrap_or_else(|| panic!("bit flip at byte {pos} bit {bit} must not decode"));
+            assert!(matches!(err, NedError::Snapshot(_)), "flip at {pos}: got {err}");
+        }
     }
 }
 
@@ -504,33 +507,44 @@ fn bitflipped_snapshot_fixture_yields_typed_errors() {
 fn version_skew_is_reported_as_unsupported() {
     let bytes = snapshot_fixture();
 
-    // A future format version. The legacy reader only speaks v2; the
-    // version-dispatching frozen reader speaks v2 and v3.
+    // A future format version.
     let mut future = bytes.to_vec();
     future[6..8].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-    match read_snapshot(future.as_slice()) {
-        Err(NedError::Snapshot(SnapshotError::UnsupportedVersion { found, supported })) => {
-            assert_eq!(found, FORMAT_VERSION + 1);
-            assert_eq!(supported, V2_FORMAT_VERSION);
-        }
-        other => panic!("expected version skew, got {other:?}"),
-    }
     match read_frozen_snapshot(future.as_slice()) {
         Err(NedError::Snapshot(SnapshotError::UnsupportedVersion { found, supported })) => {
             assert_eq!(found, FORMAT_VERSION + 1);
             assert_eq!(supported, FORMAT_VERSION);
         }
-        other => panic!("expected version skew from frozen reader, got {other:?}"),
+        other => panic!("expected version skew, got {other:?}"),
     }
 
-    // The legacy v1 layout started with the ASCII tag "AIDAKB01"; its "01"
-    // bytes land in the version field and must decode as a *version*
-    // mismatch, not a magic mismatch, so operators see the real cause.
-    let mut legacy = b"AIDAKB01".to_vec();
-    legacy.extend_from_slice(&bytes[8..]);
-    match read_snapshot(legacy.as_slice()) {
+    // The v1 layout started with the ASCII tag "AIDAKB01"; its "01" bytes
+    // land in the version field and must decode as a *version* mismatch,
+    // not a magic mismatch, so operators see the real cause.
+    let mut v1 = b"AIDAKB01".to_vec();
+    v1.extend_from_slice(&bytes[8..]);
+    match read_frozen_snapshot(v1.as_slice()) {
         Err(NedError::Snapshot(SnapshotError::UnsupportedVersion { .. })) => {}
-        other => panic!("legacy prefix should be version skew, got {other:?}"),
+        other => panic!("v1 prefix should be version skew, got {other:?}"),
+    }
+}
+
+#[test]
+fn retired_v2_header_is_reported_as_unsupported() {
+    // The retired monolithic v2 layout: magic, version 2, body length, and
+    // body checksum, then the body. The reader stops at the version.
+    let body = b"a monolithic v2 body";
+    let mut v2 = b"AIDAKB".to_vec();
+    v2.extend_from_slice(&2u16.to_le_bytes());
+    v2.extend_from_slice(&(body.len() as u64).to_le_bytes());
+    v2.extend_from_slice(&0u64.to_le_bytes());
+    v2.extend_from_slice(body);
+    match read_frozen_snapshot(v2.as_slice()) {
+        Err(NedError::Snapshot(SnapshotError::UnsupportedVersion { found, supported })) => {
+            assert_eq!(found, 2);
+            assert_eq!(supported, 3);
+        }
+        other => panic!("expected v2 to be version skew, got {other:?}"),
     }
 }
 
@@ -545,16 +559,17 @@ proptest! {
     ) {
         let bytes = snapshot_fixture();
 
-        // Strict truncation always errors.
+        // Strict truncation always errors: every section is required.
         let cut = cut % bytes.len();
-        prop_assert!(read_snapshot(&bytes[..cut]).is_err());
+        prop_assert!(read_frozen_snapshot(&bytes[..cut]).is_err());
 
-        // A single bit flip anywhere always errors: the header fields are
-        // all load-bearing and the body is covered by the checksum.
+        // A single bit flip anywhere always errors: the header fields and
+        // frame tags are load-bearing (a changed tag repeats or drops a
+        // section) and every body is covered by its frame checksum.
         let pos = flip_pos % bytes.len();
         let mut corrupt = bytes.to_vec();
         corrupt[pos] ^= 1u8 << flip_bit;
-        prop_assert!(read_snapshot(corrupt.as_slice()).is_err());
+        prop_assert!(read_frozen_snapshot(corrupt.as_slice()).is_err());
     }
 
     /// Arbitrary bytes never panic the decoder.
@@ -562,9 +577,9 @@ proptest! {
     fn arbitrary_bytes_never_panic_the_decoder(
         data in proptest::collection::vec(0u8..255, 0..512),
     ) {
-        // Random data cannot carry a valid magic + checksum; decode must
-        // reject it (and in particular must not panic).
-        prop_assert!(read_snapshot(data.as_slice()).is_err());
+        // Random data cannot carry a valid magic + checksummed sections;
+        // decode must reject it (and in particular must not panic).
+        prop_assert!(read_frozen_snapshot(data.as_slice()).is_err());
     }
 }
 

@@ -7,9 +7,8 @@
 //! 1. **Read equivalence** (property-tested): for arbitrary valid mutation
 //!    batches, every `KbView` read — entities, dictionary candidates,
 //!    priors, links, keyphrases, interners — is bitwise-identical across
-//!    four backends: the [`DeltaKb`] overlay, its [`DeltaKb::compact`]
-//!    output, a from-scratch legacy [`KnowledgeBase`] built with the same
-//!    operations, and that KB frozen.
+//!    three backends: the [`DeltaKb`] overlay, its [`DeltaKb::compact`]
+//!    output, and a from-scratch build of the same operations, frozen.
 //! 2. **Disambiguation equivalence**: a WAL-replayed overlay and its
 //!    compacted snapshot annotate the quick corpus identically — same
 //!    assignments (confidences compared by bits), same ned-obs counters —
@@ -21,9 +20,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
 
 use aida_ned::aida::{AidaConfig, Disambiguator};
-use aida_ned::kb::{
-    DeltaKb, EntityId, EntityKind, FrozenKb, KbBuilder, KbMutation, KbView, KnowledgeBase, Wal,
-};
+use aida_ned::kb::{DeltaKb, EntityId, EntityKind, FrozenKb, KbBuilder, KbMutation, KbView, Wal};
 use aida_ned::obs::Metrics;
 use aida_ned::relatedness::MilneWitten;
 use aida_ned::wikigen::config::WorldConfig;
@@ -167,8 +164,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// For arbitrary valid mutation batches, the overlay, its compaction,
-    /// the from-scratch legacy KB, and the from-scratch frozen KB are
-    /// bitwise-indistinguishable through every `KbView` read.
+    /// and the from-scratch frozen KB are bitwise-indistinguishable through
+    /// every `KbView` read.
     #[test]
     fn overlay_reads_match_every_from_scratch_backend(
         seeds in proptest::collection::vec(
@@ -201,8 +198,7 @@ proptest! {
         for op in base.iter().chain(&muts) {
             apply_to_builder(&mut scratch, &mut scratch_ids, op);
         }
-        let scratch_kb: KnowledgeBase = scratch.build();
-        let scratch_frozen = FrozenKb::freeze(&scratch_kb);
+        let scratch_frozen = FrozenKb::freeze(&scratch.build());
 
         // Probe surfaces: every surface either side ever added, plus a miss.
         let mut surfaces: Vec<String> = (0..8).map(|i| format!("surface {i}")).collect();
@@ -210,7 +206,6 @@ proptest! {
         surfaces.extend(known.iter().cloned());
         surfaces.push("never mentioned anywhere".into());
 
-        assert_reads_identical(&delta, &scratch_kb, &surfaces, "delta vs legacy");
         assert_reads_identical(&delta, &scratch_frozen, &surfaces, "delta vs frozen");
         assert_reads_identical(&delta, &compacted, &surfaces, "delta vs compacted");
         prop_assert_eq!(delta.entity_count(), 5 + fresh as usize);

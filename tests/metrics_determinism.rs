@@ -4,8 +4,8 @@
 //! counts; the registry is keyed by a `BTreeMap`, so snapshot ordering is
 //! lexicographic and stable; and under the default null clock the stage
 //! histograms are interleaving-independent too. The same snapshot must also
-//! come out of both KB backends (legacy row-oriented `KnowledgeBase` and
-//! the frozen columnar `FrozenKb`) — storage layout must not move a single
+//! come out of both KB read backends (the frozen columnar `FrozenKb` and an
+//! empty `DeltaKb` overlay over it) — the read path must not move a single
 //! counter. Finally, the zero-overhead contract: attaching a registry must
 //! not change one bit of annotation output.
 
@@ -14,7 +14,7 @@
 use std::sync::{Arc, OnceLock};
 
 use aida_ned::aida::{AidaConfig, Disambiguator};
-use aida_ned::kb::FrozenKb;
+use aida_ned::kb::{DeltaKb, FrozenKb};
 use aida_ned::obs::{Metrics, MetricsSnapshot};
 use aida_ned::relatedness::{CachedRelatedness, MilneWitten};
 use aida_ned::wikigen::config::WorldConfig;
@@ -56,12 +56,12 @@ fn run_frozen(docs: &[GoldDoc], threads: usize) -> (Evaluation, MetricsSnapshot)
     (eval, metrics.snapshot())
 }
 
-/// Same pipeline over the legacy borrowed `KnowledgeBase` backend.
-fn run_legacy(docs: &[GoldDoc], threads: usize) -> (Evaluation, MetricsSnapshot) {
-    let (_, exported, _) = world();
-    let kb = &exported.kb;
+/// Same pipeline over an empty `DeltaKb` overlay on the frozen KB.
+fn run_delta(docs: &[GoldDoc], threads: usize) -> (Evaluation, MetricsSnapshot) {
+    let (_, _, frozen) = world();
+    let kb = Arc::new(DeltaKb::build(frozen.clone(), Vec::new()).expect("empty overlay"));
     let metrics = Metrics::new();
-    let cached = CachedRelatedness::with_metrics(MilneWitten::new(kb), &metrics);
+    let cached = CachedRelatedness::with_metrics(MilneWitten::new(kb.clone()), &metrics);
     let aida = Disambiguator::new(kb, &cached, AidaConfig::full()).with_metrics(&metrics);
     let eval = run_method_with_threads(&aida, docs, threads).expect("thread pool");
     eval.record_metrics(&metrics);
@@ -101,11 +101,11 @@ fn snapshot_is_identical_across_thread_counts() {
 fn snapshot_is_identical_across_kb_backends() {
     let docs = corpus(23, 10);
     let (frozen_eval, frozen_snap) = run_frozen(&docs, 2);
-    let (legacy_eval, legacy_snap) = run_legacy(&docs, 2);
-    assert_identical(&frozen_eval, &legacy_eval);
+    let (delta_eval, delta_snap) = run_delta(&docs, 2);
+    assert_identical(&frozen_eval, &delta_eval);
     assert_eq!(
-        frozen_snap, legacy_snap,
-        "the storage backend moved a counter: legacy vs frozen snapshots differ"
+        frozen_snap, delta_snap,
+        "the read backend moved a counter: frozen vs delta snapshots differ"
     );
 }
 

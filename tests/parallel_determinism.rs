@@ -4,9 +4,10 @@
 //! changing a single bit of any score. This must hold on the degraded
 //! rungs of the fault-tolerance ladder too: a solver budget that forces
 //! fallbacks fires at deterministic algorithmic points, so degraded runs
-//! are just as reproducible. The frozen columnar read path is held to the
-//! same bar: an `Arc<FrozenKb>` service handle must reproduce the
-//! borrowed-KB outcomes bit for bit at every thread count.
+//! are just as reproducible. The two KB read backends are held to the same
+//! bar: an empty `DeltaKb` overlay behind an `Arc` service handle must
+//! reproduce the borrowed `FrozenKb` outcomes bit for bit at every thread
+//! count.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -15,7 +16,7 @@ use std::sync::Arc;
 use aida_ned::aida::context::DocumentContext;
 use aida_ned::aida::similarity::{simscore, simscore_exhaustive};
 use aida_ned::aida::{AidaConfig, Disambiguator, KeywordWeighting};
-use aida_ned::kb::{EntityKind, FrozenKb, KbBuilder};
+use aida_ned::kb::{DeltaKb, EntityKind, FrozenKb, KbBuilder};
 use aida_ned::relatedness::{CachedRelatedness, MilneWitten};
 use aida_ned::text::tokenize;
 use aida_ned::wikigen::config::WorldConfig;
@@ -50,7 +51,7 @@ fn thread_count_does_not_change_outcomes() {
     });
     let exported = ExportedKb::build(&world);
     let corpus = conll_like(&world, &exported, 11, 16);
-    let kb = &exported.kb;
+    let kb = &FrozenKb::freeze(&exported.kb);
 
     let cached = CachedRelatedness::new(MilneWitten::new(kb));
     let method = Disambiguator::new(kb, &cached, AidaConfig::full());
@@ -65,30 +66,31 @@ fn thread_count_does_not_change_outcomes() {
 }
 
 #[test]
-fn frozen_kb_path_is_byte_identical_to_legacy_at_every_thread_count() {
+fn delta_kb_path_is_byte_identical_to_frozen_at_every_thread_count() {
     let world = World::generate(WorldConfig {
         entities_per_topic: 120,
         ..WorldConfig::default()
     });
     let exported = ExportedKb::build(&world);
     let corpus = conll_like(&world, &exported, 11, 16);
-    let kb = &exported.kb;
+    let frozen = Arc::new(FrozenKb::freeze(&exported.kb));
 
-    // The legacy borrowed-KB path is the reference.
+    // The borrowed frozen KB on one thread is the reference.
+    let kb = &*frozen;
     let cached = CachedRelatedness::new(MilneWitten::new(kb));
     let method = Disambiguator::new(kb, &cached, AidaConfig::full());
     let baseline = run_method_with_threads(&method, &corpus.docs, 1).expect("thread pool");
     assert!(!baseline.docs.is_empty());
 
-    // The service configuration: one frozen KB behind a shared Arc handle,
-    // fanned out across rayon workers. Same labels, same statuses, same
-    // confidence bits, for any thread count.
-    let frozen = Arc::new(FrozenKb::freeze(kb));
-    let frozen_cached = CachedRelatedness::new(MilneWitten::new(frozen.clone()));
-    let frozen_method = Disambiguator::new(frozen.clone(), &frozen_cached, AidaConfig::full());
+    // The other read backend: an empty overlay over the same frozen base
+    // behind a shared Arc handle, fanned out across rayon workers. Same
+    // labels, same statuses, same confidence bits, for any thread count.
+    let delta = Arc::new(DeltaKb::build(Arc::clone(&frozen), Vec::new()).expect("empty overlay"));
+    let delta_cached = CachedRelatedness::new(MilneWitten::new(delta.clone()));
+    let delta_method = Disambiguator::new(delta.clone(), &delta_cached, AidaConfig::full());
     for threads in [1usize, 2, 4, 8] {
         let run =
-            run_method_with_threads(&frozen_method, &corpus.docs, threads).expect("thread pool");
+            run_method_with_threads(&delta_method, &corpus.docs, threads).expect("thread pool");
         assert_identical(&baseline, &run, threads);
     }
 }
@@ -101,7 +103,7 @@ fn degraded_runs_are_deterministic_across_thread_counts() {
     });
     let exported = ExportedKb::build(&world);
     let corpus = conll_like(&world, &exported, 11, 16);
-    let kb = &exported.kb;
+    let kb = &FrozenKb::freeze(&exported.kb);
 
     // A solver budget this tight exhausts on every nontrivial document,
     // forcing the no-coherence fallback. The budget is charged at
@@ -146,7 +148,7 @@ proptest! {
             builder.add_keyphrase(e, &words.join(" "), (i % 5 + 1) as u64);
             entities.push(e);
         }
-        let kb = builder.build();
+        let kb = FrozenKb::freeze(&builder.build());
 
         let tokens = tokenize(&context.join(" "));
         let ctx = DocumentContext::build(&kb, &tokens);

@@ -1,27 +1,24 @@
-//! Snapshot decode must rebuild the transient (`serde(skip)`) indexes.
+//! Snapshot decode must rebuild the transient indexes.
 //!
 //! The by-name entity index and the keyphrase inverted index are derived
-//! structures: snapshots never store them, and every load path rebuilds
-//! them before handing the KB out. A regression here is silent — lookups
-//! return `None` and the kp-index-pruned similarity returns 0.0 instead of
-//! the true score — so these tests pin the behaviour on all three load
-//! paths: the legacy v2 reader, the v2 freeze-on-load reader, and the v3
-//! sectioned reader.
+//! structures: snapshots never store them, and the loader rebuilds them
+//! before handing the KB out. A regression here is silent — lookups return
+//! `None` and the kp-index-pruned similarity returns 0.0 instead of the
+//! true score — so this test pins the behaviour of the sectioned reader
+//! against the freshly frozen KB.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use aida_ned::aida::context::DocumentContext;
 use aida_ned::aida::similarity::{simscore, simscore_exhaustive};
 use aida_ned::aida::KeywordWeighting;
-use aida_ned::kb::snapshot::{
-    read_frozen_snapshot, read_snapshot, write_frozen_snapshot, write_snapshot,
-};
-use aida_ned::kb::{EntityKind, FrozenKb, KbBuilder, KbView, KnowledgeBase};
+use aida_ned::kb::snapshot::{read_frozen_snapshot, write_frozen_snapshot};
+use aida_ned::kb::{EntityKind, FrozenKb, KbBuilder, KbView};
 use aida_ned::text::tokenize;
 
 /// A small world with name ambiguity, keyphrases, and links — enough for
 /// both transient indexes to have observable behaviour.
-fn sample_kb() -> KnowledgeBase {
+fn sample_kb() -> FrozenKb {
     let mut builder = KbBuilder::new();
     let song = builder.add_entity("Kashmir (song)", EntityKind::Work);
     let region = builder.add_entity("Kashmir (region)", EntityKind::Location);
@@ -38,7 +35,7 @@ fn sample_kb() -> KnowledgeBase {
     builder.add_link(song, band);
     builder.add_link(band, song);
     builder.add_link(region, song);
-    builder.build()
+    FrozenKb::freeze(&builder.build())
 }
 
 /// The context window used for the similarity probes.
@@ -49,8 +46,8 @@ fn window_for<K: KbView + ?Sized>(kb: &K) -> Vec<(usize, aida_ned::kb::WordId)> 
 
 /// Asserts the two transient indexes answer correctly on `kb`, comparing
 /// similarity scores bitwise against the pre-snapshot `reference`.
-fn assert_transients_rebuilt<K: KbView + ?Sized>(kb: &K, reference: &KnowledgeBase, path: &str) {
-    // `by_name` (serde(skip)): canonical-name lookup must work immediately.
+fn assert_transients_rebuilt<K: KbView + ?Sized>(kb: &K, reference: &FrozenKb, path: &str) {
+    // `by_name`: canonical-name lookup must work immediately.
     for name in ["Kashmir (song)", "Kashmir (region)", "Led Zeppelin"] {
         assert_eq!(
             kb.entity_by_name(name),
@@ -60,7 +57,7 @@ fn assert_transients_rebuilt<K: KbView + ?Sized>(kb: &K, reference: &KnowledgeBa
     }
     assert_eq!(kb.entity_by_name("No Quarter"), None, "{path}: phantom entity");
 
-    // `kp_index` (serde(skip)): the index-pruned similarity must agree
+    // `kp_index`: the index-pruned similarity must agree
     // bitwise with the exhaustive scan AND with the pre-snapshot score. An
     // empty rebuilt index would score 0.0 here while exhaustive scores > 0.
     let window = window_for(kb);
@@ -92,33 +89,12 @@ fn assert_transients_rebuilt<K: KbView + ?Sized>(kb: &K, reference: &KnowledgeBa
 }
 
 #[test]
-fn v2_decode_rebuilds_transient_indexes() {
-    let kb = sample_kb();
-    let mut bytes = Vec::new();
-    write_snapshot(&kb, &mut bytes).expect("write v2");
-
-    let loaded = read_snapshot(&bytes[..]).expect("read v2");
-    assert_transients_rebuilt(&loaded, &kb, "v2 legacy reader");
-}
-
-#[test]
-fn v2_freeze_on_load_rebuilds_transient_indexes() {
-    let kb = sample_kb();
-    let mut bytes = Vec::new();
-    write_snapshot(&kb, &mut bytes).expect("write v2");
-
-    let frozen = read_frozen_snapshot(&bytes[..]).expect("freeze-on-load v2");
-    assert_transients_rebuilt(&frozen, &kb, "v2 freeze-on-load reader");
-}
-
-#[test]
 fn v3_decode_rebuilds_transient_indexes() {
-    let kb = sample_kb();
-    let frozen = FrozenKb::freeze(&kb);
+    let frozen = sample_kb();
     let mut bytes = Vec::new();
     write_frozen_snapshot(&frozen, &mut bytes).expect("write v3");
 
     let loaded = read_frozen_snapshot(&bytes[..]).expect("read v3");
-    assert_transients_rebuilt(&loaded, &kb, "v3 sectioned reader");
+    assert_transients_rebuilt(&loaded, &frozen, "v3 sectioned reader");
     assert_eq!(loaded.stats(), frozen.stats(), "v3 round-trip changed section stats");
 }
