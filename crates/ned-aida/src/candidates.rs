@@ -6,7 +6,6 @@
 //! (§3.3.4).
 
 use ned_kb::{EntityId, KbView, WordId};
-use ned_text::Mention;
 
 use crate::config::KeywordWeighting;
 use crate::obs::PipelineObs;
@@ -27,39 +26,18 @@ pub struct CandidateFeatures {
     pub sim_normalized: f64,
 }
 
-/// Retrieves candidates for `mention` and computes their local features
-/// against `context` (the mention's context words, position-sorted).
-pub fn candidate_features<K: KbView + ?Sized>(
-    kb: &K,
-    mention: &Mention,
-    context: &[(usize, WordId)],
-    weighting: KeywordWeighting,
-) -> Vec<CandidateFeatures> {
-    candidate_features_for_surface(kb, &mention.surface, context, weighting)
-}
-
-/// Like [`candidate_features`], but with an explicit lookup surface — used
-/// by document-internal mention expansion, where a short mention borrows a
-/// longer co-occurring mention's surface for candidate retrieval.
-pub fn candidate_features_for_surface<K: KbView + ?Sized>(
-    kb: &K,
-    surface: &str,
-    context: &[(usize, WordId)],
-    weighting: KeywordWeighting,
-) -> Vec<CandidateFeatures> {
-    candidate_features_observed(kb, surface, context, weighting, &PipelineObs::default())
-}
-
-/// [`candidate_features_for_surface`] with pipeline work counters
-/// (candidates considered, similarity plan/scan accounting).
+/// Retrieves the candidates of `surface` and computes their local features
+/// against `context` (the mention's context words, position-sorted),
+/// recording pipeline work counters (candidates considered, similarity
+/// plan/scan accounting) in `obs`.
 ///
-/// All candidates of the mention are scored in one batched pass over the
-/// keyphrase inverted index, against one worker-local scratch arena — no
-/// per-candidate allocation and no nested parallel fan-out (parallelism
-/// splits at the document level, where chunks are coarse enough to pay for
-/// themselves). The batched pass is verified bit-identical to per-candidate
-/// scoring, so features are the same as a sequential scan.
-pub fn candidate_features_observed<K: KbView + ?Sized>(
+/// The lookup surface is usually the mention's own; document-internal
+/// mention expansion passes a longer co-occurring mention's surface
+/// instead. All candidates of the mention are scored in one pass against
+/// one worker-local scratch arena — no per-candidate allocation and no
+/// nested parallel fan-out (parallelism splits at the document level, where
+/// chunks are coarse enough to pay for themselves).
+pub fn candidate_features<K: KbView + ?Sized>(
     kb: &K,
     surface: &str,
     context: &[(usize, WordId)],
@@ -72,12 +50,6 @@ pub fn candidate_features_observed<K: KbView + ?Sized>(
         return Vec::new();
     }
     with_scratch(|scratch| {
-        // One index query set for all candidates of this mention, built in
-        // the arena (same sort+dedup as `context_word_set`).
-        scratch.context_words.clear();
-        scratch.context_words.extend(context.iter().map(|&(_, w)| w));
-        scratch.context_words.sort_unstable();
-        scratch.context_words.dedup();
         simscores_batch_arena(
             kb,
             cands.len(),
@@ -112,7 +84,7 @@ mod tests {
     use super::*;
     use crate::context::DocumentContext;
     use ned_kb::{EntityKind, FrozenKb, KbBuilder};
-    use ned_text::tokenize;
+    use ned_text::{tokenize, Mention};
 
     fn kb() -> FrozenKb {
         let mut b = KbBuilder::new();
@@ -132,7 +104,13 @@ mod tests {
         let tokens = tokenize("They performed Kashmir with unusual chords.");
         let ctx = DocumentContext::build(&kb, &tokens);
         let m = Mention::new("Kashmir", 2, 3);
-        let feats = candidate_features(&kb, &m, &ctx.for_mention(&m), KeywordWeighting::Npmi);
+        let feats = candidate_features(
+            &kb,
+            &m.surface,
+            &ctx.for_mention(&m),
+            KeywordWeighting::Npmi,
+            &PipelineObs::default(),
+        );
         assert_eq!(feats.len(), 2);
         let song = kb.entity_by_name("Kashmir (song)").unwrap();
         let region = kb.entity_by_name("Kashmir (region)").unwrap();
@@ -147,16 +125,16 @@ mod tests {
     #[test]
     fn unknown_mention_has_no_candidates() {
         let kb = kb();
-        let m = Mention::new("Snowden", 0, 1);
-        let feats = candidate_features(&kb, &m, &[], KeywordWeighting::Npmi);
+        let obs = PipelineObs::default();
+        let feats = candidate_features(&kb, "Snowden", &[], KeywordWeighting::Npmi, &obs);
         assert!(feats.is_empty());
     }
 
     #[test]
     fn zero_context_gives_zero_normalized_sim() {
         let kb = kb();
-        let m = Mention::new("Kashmir", 0, 1);
-        let feats = candidate_features(&kb, &m, &[], KeywordWeighting::Npmi);
+        let obs = PipelineObs::default();
+        let feats = candidate_features(&kb, "Kashmir", &[], KeywordWeighting::Npmi, &obs);
         assert!(feats.iter().all(|f| f.sim == 0.0 && f.sim_normalized == 0.0));
         // Priors still sum to 1 over the candidates.
         let p: f64 = feats.iter().map(|f| f.prior).sum();

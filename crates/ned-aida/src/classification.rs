@@ -15,6 +15,7 @@ use ned_text::{Mention, Token};
 use crate::candidates::candidate_features;
 use crate::config::KeywordWeighting;
 use crate::context::DocumentContext;
+use crate::obs::PipelineObs;
 
 /// A type prediction with its aggregated evidence mass.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,9 +64,10 @@ impl<'a, K: KbView> TypeClassifier<'a, K> {
         let ctx = DocumentContext::build(&self.kb, tokens);
         let features = candidate_features(
             &self.kb,
-            mention,
+            &mention.surface,
             &ctx.for_mention(mention),
             KeywordWeighting::Npmi,
+            &PipelineObs::default(),
         );
         let mut scores: Vec<(TypeId, f64)> = Vec::new();
         for f in &features {

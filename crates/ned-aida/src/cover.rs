@@ -10,33 +10,11 @@
 use ned_kb::fx::FxHashMap;
 use ned_kb::WordId;
 
-/// The cover of a phrase in a document context.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Cover {
-    /// Number of distinct phrase words inside the cover (the maximum
-    /// achievable in the context).
-    pub matched_words: usize,
-    /// Window length in tokens (last position − first position + 1).
-    pub length: usize,
-    /// The distinct matched word ids.
-    pub words: Vec<WordId>,
-}
-
-impl Cover {
-    /// The proximity factor `z = matched words / cover length`.
-    pub fn z(&self) -> f64 {
-        if self.length == 0 {
-            return 0.0;
-        }
-        self.matched_words as f64 / self.length as f64
-    }
-}
-
 /// The shape of a cover without its word list: enough to compute `z`.
 ///
-/// Produced by the scratch-based cover functions, which leave the distinct
-/// matched words in the [`CoverScratch`] instead of allocating a fresh
-/// vector per call.
+/// Produced by [`shortest_cover_into`], which leaves the distinct matched
+/// words in the [`CoverScratch`] instead of allocating a fresh vector per
+/// call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoverShape {
     /// Number of distinct phrase words inside the cover.
@@ -69,8 +47,6 @@ pub struct CoverScratch {
     counts: FxHashMap<WordId, u32>,
     /// Distinct words of the last cover found (sorted, deduplicated).
     words: Vec<WordId>,
-    /// Sorted-deduplicated membership set for unsorted phrase word lists.
-    phrase_set: Vec<WordId>,
 }
 
 impl CoverScratch {
@@ -80,20 +56,27 @@ impl CoverScratch {
     }
 
     /// The sorted, deduplicated word ids of the most recent cover — valid
-    /// after a [`shortest_cover_into`] / [`shortest_cover_unsorted_into`]
-    /// call that returned `Some`.
+    /// after a [`shortest_cover_into`] call that returned `Some`.
     pub fn cover_words(&self) -> &[WordId] {
         &self.words
     }
 }
 
-/// Scratch-based [`shortest_cover`]: identical result, zero steady-state
-/// allocations. `phrase_words` must be sorted and deduplicated (e.g. a
-/// precomputed phrase run) — membership via binary search over the sorted
-/// set is equivalent to the reference's linear `contains` scan, so the
-/// occurrence list, the window scan, and the final cover are the same. On
-/// success the cover's distinct words are left in the scratch
-/// ([`CoverScratch::cover_words`]).
+/// Finds the shortest window over `context` (position-sorted `(pos, word)`
+/// pairs) containing a maximal number of distinct words of `phrase_words`,
+/// or `None` when no phrase word occurs in the context.
+///
+/// `phrase_words` must be sorted and deduplicated (a precomputed phrase run
+/// or an emerging-entity phrase). On success the cover's distinct words are
+/// left in the scratch ([`CoverScratch::cover_words`]); steady-state calls
+/// perform zero heap allocations.
+///
+/// The test oracle keeps the allocating reference scan, which tests
+/// membership with a linear `contains` and materializes the word list on
+/// every improving window. This scan is bit-identical to it: membership by
+/// binary search over the sorted set is the same set test, improving
+/// windows are recorded as `(left, right, length)` indices, and the word
+/// list is materialized once, for the final best window.
 // ned-lint: hot
 pub fn shortest_cover_into(
     context: &[(usize, WordId)],
@@ -104,44 +87,11 @@ pub fn shortest_cover_into(
         phrase_words.windows(2).all(|p| p[0] < p[1]), // ned-lint: allow(p1) — windows(2) pairs
         "phrase_words must be sorted and deduplicated"
     );
-    let CoverScratch { occurrences, counts, words, .. } = scratch;
-    cover_core(context, occurrences, counts, words, |w| {
-        phrase_words.binary_search(&w).is_ok()
-    })
-}
-
-/// [`shortest_cover_into`] for unsorted phrase word lists (e.g. the raw word
-/// sequence of an emerging-entity keyphrase): sorts a scratch-resident copy
-/// for the membership tests, then runs the same window scan.
-// ned-lint: hot
-pub fn shortest_cover_unsorted_into(
-    context: &[(usize, WordId)],
-    phrase_words: &[WordId],
-    scratch: &mut CoverScratch,
-) -> Option<CoverShape> {
-    let CoverScratch { occurrences, counts, words, phrase_set } = scratch;
-    phrase_set.clear();
-    phrase_set.extend_from_slice(phrase_words);
-    phrase_set.sort_unstable();
-    phrase_set.dedup();
-    cover_core(context, occurrences, counts, words, |w| phrase_set.binary_search(&w).is_ok())
-}
-
-/// The sliding-window scan shared by the scratch-based entry points.
-///
-/// Bit-identical to [`shortest_cover`]: the window logic is the same; the
-/// only difference is that improving windows are recorded as `(left, right,
-/// length)` indices and the word list is materialized once, for the final
-/// best window, instead of on every improvement.
-fn cover_core(
-    context: &[(usize, WordId)],
-    occurrences: &mut Vec<(usize, WordId)>,
-    counts: &mut FxHashMap<WordId, u32>,
-    words: &mut Vec<WordId>,
-    is_phrase_word: impl Fn(WordId) -> bool,
-) -> Option<CoverShape> {
+    let CoverScratch { occurrences, counts, words } = scratch;
     occurrences.clear();
-    occurrences.extend(context.iter().copied().filter(|&(_, w)| is_phrase_word(w)));
+    occurrences.extend(
+        context.iter().copied().filter(|(_, w)| phrase_words.binary_search(w).is_ok()),
+    );
     if occurrences.is_empty() {
         return None;
     }
@@ -193,73 +143,6 @@ fn cover_core(
     Some(CoverShape { matched_words: distinct_total, length })
 }
 
-/// Finds the shortest window over `context` (position-sorted `(pos, word)`
-/// pairs) containing a maximal number of distinct words of `phrase_words`.
-///
-/// Returns `None` when no phrase word occurs in the context.
-///
-/// This is the reference implementation, allocating its buffers per call;
-/// the hot path uses [`shortest_cover_into`] with a reusable
-/// [`CoverScratch`] and is verified bit-identical against it.
-pub fn shortest_cover(context: &[(usize, WordId)], phrase_words: &[WordId]) -> Option<Cover> {
-    // Occurrences of phrase words in the context, in position order.
-    let occurrences: Vec<(usize, WordId)> = context
-        .iter()
-        .copied()
-        .filter(|(_, w)| phrase_words.contains(w))
-        .collect();
-    if occurrences.is_empty() {
-        return None;
-    }
-    let distinct_total = {
-        let mut ws: Vec<WordId> = occurrences.iter().map(|&(_, w)| w).collect();
-        ws.sort_unstable();
-        ws.dedup();
-        ws.len()
-    };
-
-    // Two-pointer sliding window over the occurrence list, maximizing the
-    // distinct count (which is `distinct_total`, always achievable) and
-    // minimizing window length in token positions.
-    let mut counts: FxHashMap<WordId, u32> = FxHashMap::default();
-    let mut distinct = 0usize;
-    let mut best: Option<Cover> = None;
-    let mut left = 0usize;
-    for right in 0..occurrences.len() {
-        let (_, w) = occurrences[right];
-        let c = counts.entry(w).or_insert(0);
-        if *c == 0 {
-            distinct += 1;
-        }
-        *c += 1;
-        while distinct == distinct_total {
-            let (lpos, lw) = occurrences[left];
-            let (rpos, _) = occurrences[right];
-            let length = rpos - lpos + 1;
-            let better = match &best {
-                None => true,
-                Some(b) => length < b.length,
-            };
-            if better {
-                let mut words: Vec<WordId> =
-                    occurrences[left..=right].iter().map(|&(_, w)| w).collect();
-                words.sort_unstable();
-                words.dedup();
-                best = Some(Cover { matched_words: distinct_total, length, words });
-            }
-            // Shrink from the left.
-            if let Some(lc) = counts.get_mut(&lw) {
-                *lc -= 1;
-                if *lc == 0 {
-                    distinct -= 1;
-                }
-            }
-            left += 1;
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,26 +151,34 @@ mod tests {
         WordId(i)
     }
 
+    /// The cover of a sorted phrase word set, with its distinct words.
+    fn cover(context: &[(usize, WordId)], phrase: &[WordId]) -> Option<(CoverShape, Vec<WordId>)> {
+        let mut scratch = CoverScratch::new();
+        let shape = shortest_cover_into(context, phrase, &mut scratch)?;
+        Some((shape, scratch.cover_words().to_vec()))
+    }
+
     /// Context "winner of many prizes including the Grammy" with phrase
-    /// {grammy, award, winner}: positions of winner=0, grammy=6.
+    /// {winner, grammy, award}: positions of winner=0, grammy=6.
     #[test]
     fn partial_match_cover() {
         let context = vec![(0, w(1)), (3, w(10)), (6, w(2))];
-        let phrase = vec![w(2), w(3), w(1)]; // grammy, award, winner
-        let cover = shortest_cover(&context, &phrase).unwrap();
-        assert_eq!(cover.matched_words, 2);
-        assert_eq!(cover.length, 7); // positions 0..=6
-        assert!((cover.z() - 2.0 / 7.0).abs() < 1e-12);
+        let phrase = vec![w(1), w(2), w(3)]; // winner, grammy, award
+        let (shape, words) = cover(&context, &phrase).unwrap();
+        assert_eq!(shape.matched_words, 2);
+        assert_eq!(shape.length, 7); // positions 0..=6
+        assert_eq!(words, vec![w(1), w(2)]);
+        assert!((shape.z() - 2.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]
     fn adjacent_full_match_has_z_one() {
         let context = vec![(4, w(1)), (5, w(2)), (6, w(3))];
         let phrase = vec![w(1), w(2), w(3)];
-        let cover = shortest_cover(&context, &phrase).unwrap();
-        assert_eq!(cover.matched_words, 3);
-        assert_eq!(cover.length, 3);
-        assert!((cover.z() - 1.0).abs() < 1e-12);
+        let (shape, _) = cover(&context, &phrase).unwrap();
+        assert_eq!(shape.matched_words, 3);
+        assert_eq!(shape.length, 3);
+        assert!((shape.z() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -295,74 +186,32 @@ mod tests {
         // Word 1 at 0 and 10, word 2 at 12: best window is [10, 12].
         let context = vec![(0, w(1)), (10, w(1)), (12, w(2))];
         let phrase = vec![w(1), w(2)];
-        let cover = shortest_cover(&context, &phrase).unwrap();
-        assert_eq!(cover.length, 3);
-        assert_eq!(cover.matched_words, 2);
+        let (shape, _) = cover(&context, &phrase).unwrap();
+        assert_eq!(shape.length, 3);
+        assert_eq!(shape.matched_words, 2);
     }
 
     #[test]
     fn no_match_returns_none() {
         let context = vec![(0, w(5)), (1, w(6))];
-        assert!(shortest_cover(&context, &[w(1)]).is_none());
-        assert!(shortest_cover(&[], &[w(1)]).is_none());
+        assert!(cover(&context, &[w(1)]).is_none());
+        assert!(cover(&[], &[w(1)]).is_none());
     }
 
     #[test]
     fn single_word_match() {
         let context = vec![(7, w(3))];
-        let cover = shortest_cover(&context, &[w(3), w(4)]).unwrap();
-        assert_eq!(cover.matched_words, 1);
-        assert_eq!(cover.length, 1);
-        assert_eq!(cover.words, vec![w(3)]);
+        let (shape, words) = cover(&context, &[w(3), w(4)]).unwrap();
+        assert_eq!(shape.matched_words, 1);
+        assert_eq!(shape.length, 1);
+        assert_eq!(words, vec![w(3)]);
     }
 
     #[test]
     fn repeated_words_do_not_inflate_distinct_count() {
         let context = vec![(0, w(1)), (1, w(1)), (2, w(1))];
-        let cover = shortest_cover(&context, &[w(1), w(2)]).unwrap();
-        assert_eq!(cover.matched_words, 1);
-        assert_eq!(cover.length, 1);
-    }
-
-    /// One scratch reused across every case must reproduce the reference
-    /// exactly — shape, words, and the `z` bits.
-    #[test]
-    fn scratch_cover_matches_reference_across_reuse() {
-        type Case = (Vec<(usize, WordId)>, Vec<WordId>);
-        let cases: Vec<Case> = vec![
-            (vec![(0, w(1)), (3, w(10)), (6, w(2))], vec![w(2), w(3), w(1)]),
-            (vec![(4, w(1)), (5, w(2)), (6, w(3))], vec![w(1), w(2), w(3)]),
-            (vec![(0, w(1)), (10, w(1)), (12, w(2))], vec![w(1), w(2)]),
-            (vec![(0, w(5)), (1, w(6))], vec![w(1)]),
-            (vec![], vec![w(1)]),
-            (vec![(7, w(3))], vec![w(3), w(4)]),
-            (vec![(0, w(1)), (1, w(1)), (2, w(1))], vec![w(1), w(2)]),
-            (vec![(0, w(2)), (1, w(9)), (2, w(2)), (3, w(4)), (9, w(4))], vec![w(4), w(2)]),
-        ];
-        let mut scratch = CoverScratch::new();
-        for (context, phrase) in &cases {
-            let reference = shortest_cover(context, phrase);
-            // Unsorted entry point takes the raw phrase word list.
-            let via_unsorted = shortest_cover_unsorted_into(context, phrase, &mut scratch);
-            match (&reference, &via_unsorted) {
-                (None, None) => {}
-                (Some(c), Some(s)) => {
-                    assert_eq!(c.matched_words, s.matched_words);
-                    assert_eq!(c.length, s.length);
-                    assert_eq!(c.words, scratch.cover_words());
-                    assert_eq!(c.z().to_bits(), s.z().to_bits());
-                }
-                other => panic!("reference and scratch disagree: {other:?}"),
-            }
-            // Sorted entry point takes the deduplicated sorted set.
-            let mut sorted = phrase.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            let via_sorted = shortest_cover_into(context, &sorted, &mut scratch);
-            assert_eq!(via_unsorted, via_sorted);
-            if let Some(c) = &reference {
-                assert_eq!(c.words, scratch.cover_words());
-            }
-        }
+        let (shape, _) = cover(&context, &[w(1), w(2)]).unwrap();
+        assert_eq!(shape.matched_words, 1);
+        assert_eq!(shape.length, 1);
     }
 }

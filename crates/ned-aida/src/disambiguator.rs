@@ -10,7 +10,7 @@ use ned_text::{Mention, Token};
 use rayon::prelude::*;
 
 use crate::algorithm::{solve_budgeted_observed, SolverConfig};
-use crate::candidates::{candidate_features_observed, CandidateFeatures};
+use crate::candidates::{candidate_features, CandidateFeatures};
 use crate::expansion::expansion_targets;
 use crate::config::AidaConfig;
 use crate::context::DocumentContext;
@@ -144,7 +144,7 @@ impl<K: KbView, R: Relatedness> Disambiguator<K, R> {
         };
         let score_mention = |i: usize| {
             let m = &mentions[i]; // ned-lint: allow(p1) — i < mentions.len() by construction
-            let mut features = candidate_features_observed(
+            let mut features = candidate_features(
                 &self.kb,
                 &mentions[targets[i]].surface, // ned-lint: allow(p1) — targets is index-aligned with mentions
                 &ctx.for_mention(m),
@@ -154,7 +154,7 @@ impl<K: KbView, R: Relatedness> Disambiguator<K, R> {
             if features.is_empty() && targets[i] != i { // ned-lint: allow(p1) — i < targets.len() by construction
                 // The expanded surface is unknown to the dictionary:
                 // fall back to the mention's own surface.
-                features = candidate_features_observed(
+                features = candidate_features(
                     &self.kb,
                     &m.surface,
                     &ctx.for_mention(m),

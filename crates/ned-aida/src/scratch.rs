@@ -22,7 +22,7 @@
 
 use std::cell::RefCell;
 
-use ned_kb::{EntityId, PhraseId, WordId};
+use ned_kb::{PhraseId, WordId};
 
 use crate::cover::CoverScratch;
 
@@ -35,13 +35,7 @@ pub struct ScoringScratch {
     pub(crate) context_words: Vec<WordId>,
     /// Matching phrase ids of the candidate currently being scored.
     pub(crate) matching: Vec<PhraseId>,
-    /// Word-side-planned candidates of the current mention as
-    /// `(entity, candidate index)`, sorted by entity for the merge pass.
-    pub(crate) word_side: Vec<(EntityId, usize)>,
-    /// Dense per-candidate phrase-id accumulators, indexed by the
-    /// candidate's slot in the sorted `word_side` list.
-    pub(crate) phrase_bufs: Vec<Vec<PhraseId>>,
-    /// Batched similarity scores, in candidate order.
+    /// Similarity scores of the current mention, in candidate order.
     pub(crate) sims: Vec<f64>,
 }
 

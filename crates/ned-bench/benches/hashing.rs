@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use ned_aida::cover::shortest_cover;
+use ned_aida::cover::{shortest_cover_into, CoverScratch};
 use ned_kb::WordId;
 use ned_relatedness::lsh::Banding;
 use ned_relatedness::minhash::{mix64, MinHasher};
@@ -37,8 +37,9 @@ fn bench_cover(c: &mut Criterion) {
     let context: Vec<(usize, WordId)> =
         (0..300).map(|i| (i, WordId((i % 40) as u32))).collect();
     let phrase = [WordId(3), WordId(17), WordId(39)];
+    let mut scratch = CoverScratch::new();
     c.bench_function("shortest_cover_300_tokens", |b| {
-        b.iter(|| black_box(shortest_cover(&context, &phrase)))
+        b.iter(|| black_box(shortest_cover_into(&context, &phrase, &mut scratch)))
     });
 }
 

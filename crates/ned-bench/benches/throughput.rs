@@ -1,5 +1,5 @@
 //! Criterion benches for the parallel engine: corpus throughput at several
-//! thread counts and indexed vs exhaustive keyphrase similarity.
+//! thread counts and keyphrase similarity over every mention's candidates.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -7,8 +7,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use ned_aida::context::DocumentContext;
-use ned_aida::similarity::{context_word_set, simscore_exhaustive, simscore_indexed};
-use ned_aida::{AidaConfig, Disambiguator, KeywordWeighting};
+use ned_aida::similarity::simscores_batch_into;
+use ned_aida::{AidaConfig, Disambiguator, KeywordWeighting, SimObs};
 use ned_bench::runner::run_method_with_threads;
 use ned_eval::gold::GoldDoc;
 use ned_kb::FrozenKb;
@@ -74,25 +74,14 @@ fn bench_similarity_index(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("simscore_corpus");
     group.sample_size(10);
-    group.bench_function("indexed", |b| {
+    let obs = SimObs::default();
+    let mut out = Vec::new();
+    group.bench_function("batched", |b| {
         b.iter(|| {
             let mut acc = 0.0;
             for (ctx, cands) in &cases {
-                let words = context_word_set(ctx);
-                for &e in cands {
-                    acc += simscore_indexed(kb, e, ctx, &words, KeywordWeighting::Npmi);
-                }
-            }
-            black_box(acc)
-        })
-    });
-    group.bench_function("exhaustive", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for (ctx, cands) in &cases {
-                for &e in cands {
-                    acc += simscore_exhaustive(kb, e, ctx, KeywordWeighting::Npmi);
-                }
+                simscores_batch_into(kb, cands, ctx, KeywordWeighting::Npmi, &obs, &mut out);
+                acc = out.iter().fold(acc, |a, &s| a + s);
             }
             black_box(acc)
         })

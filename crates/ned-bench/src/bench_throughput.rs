@@ -4,12 +4,11 @@
 //! corpus at several thread counts and reports docs/sec and mentions/sec per
 //! count, the speedup relative to one thread, and the relatedness-cache hit
 //! rate. The sweep runs through the `Arc<FrozenKb>` read path (the service
-//! configuration). Also measures the algorithmic speedup of the keyphrase
-//! inverted index (indexed vs exhaustive `simscore` over every
-//! mention–candidate pair) and asserts that every thread count produces
-//! byte-identical outcomes. Results are printed as a table and written to
-//! `BENCH_throughput.json`, `BENCH_kb_memory.json`, and `metrics.json` in
-//! the working directory.
+//! configuration). Also times keyphrase similarity alone (every candidate
+//! of every mention through `simscores_batch_into`) and asserts that every
+//! thread count produces byte-identical outcomes. Results are printed as a
+//! table and written to `BENCH_throughput.json`, `BENCH_kb_memory.json`,
+//! and `metrics.json` in the working directory.
 //!
 //! Each sweep run carries its own [`ned_obs::Metrics`] registry; the bench
 //! asserts that the full metrics snapshot — every counter and histogram
@@ -31,9 +30,7 @@ use ned_kb::FrozenKbStats;
 use ned_obs::{Metrics, MetricsSnapshot};
 
 use ned_aida::context::DocumentContext;
-use ned_aida::similarity::{
-    context_word_set, simscore_exhaustive, simscore_indexed, simscores_batch_into,
-};
+use ned_aida::similarity::simscores_batch_into;
 use ned_aida::{AidaConfig, Disambiguator, KeywordWeighting, SimObs};
 use ned_eval::report::{num, Table};
 use ned_relatedness::{CachedRelatedness, MilneWitten};
@@ -44,11 +41,6 @@ use crate::setup::{Env, Scale};
 
 /// A mention's context window plus its candidate entities.
 type SimCase = (Vec<(usize, ned_kb::WordId)>, Vec<ned_kb::EntityId>);
-
-/// 1-thread pipeline cost measured at the PR-5 tip (observability layer),
-/// pinned so the before/after trajectory stays visible in the JSON report:
-/// 0.148064 s / 200 docs on the quick scale.
-const PINNED_BASELINE_1T_NS_PER_DOC: f64 = 740_320.0;
 
 /// One thread-count measurement.
 #[derive(Debug, Clone, Copy)]
@@ -72,7 +64,7 @@ struct Run {
 struct StageAlloc {
     stage: &'static str,
     alloc_events: u64,
-    /// What `per_unit` divides by ("doc", "pair", "mention").
+    /// What `per_unit` divides by ("doc", "mention").
     unit: &'static str,
     per_unit: f64,
 }
@@ -183,9 +175,8 @@ pub fn run(scale: &Scale) {
         1.0
     };
 
-    // Algorithmic speedup of the keyphrase inverted index: score every
-    // mention–candidate pair with and without the index, over the frozen
-    // read path.
+    // Keyphrase similarity alone: every mention's candidates, scored over
+    // the frozen read path.
     let fkb = &env.frozen;
     let contexts: Vec<SimCase> = docs
         .iter()
@@ -201,29 +192,6 @@ pub fn run(scale: &Scale) {
                 .collect::<Vec<_>>()
         })
         .collect();
-    let pair_count: usize = contexts.iter().map(|(_, cands)| cands.len()).sum();
-    let time_sim = |indexed: bool| -> (f64, u64) {
-        let alloc_before = alloc_events();
-        let start = Instant::now();
-        let mut acc = 0.0;
-        for (ctx, cands) in &contexts {
-            // As in the engine: one index query set per mention, shared by
-            // all of its candidates.
-            let words = context_word_set(ctx);
-            for &e in cands {
-                acc += if indexed {
-                    simscore_indexed(fkb, e, ctx, &words, KeywordWeighting::Npmi)
-                } else {
-                    simscore_exhaustive(fkb, e, ctx, KeywordWeighting::Npmi)
-                };
-            }
-        }
-        std::hint::black_box(acc);
-        (start.elapsed().as_secs_f64(), alloc_events() - alloc_before)
-    };
-    let (exhaustive_s, exhaustive_allocs) = time_sim(false);
-    let (indexed_s, indexed_allocs) = time_sim(true);
-    let index_speedup = if indexed_s > 0.0 { exhaustive_s / indexed_s } else { 1.0 };
 
     // The batched scorer, run twice over the whole corpus on one thread:
     // the first pass grows the per-thread arena to its high-water mark, the
@@ -250,7 +218,6 @@ pub fn run(scale: &Scale) {
         warm_acc.to_bits() == steady_acc.to_bits(),
         "scratch reuse changed batched scores: {warm_acc} vs {steady_acc}"
     );
-    let batched_speedup = if batched_steady_s > 0.0 { indexed_s / batched_steady_s } else { 1.0 };
     let steady_sim_allocs_per_mention = if contexts.is_empty() {
         0.0
     } else {
@@ -264,18 +231,6 @@ pub fn run(scale: &Scale) {
             alloc_events: runs.first().map_or(0, |r| r.alloc_events),
             unit: "doc",
             per_unit: runs.first().map_or(0.0, |r| r.allocs_per_doc),
-        },
-        StageAlloc {
-            stage: "sim_exhaustive",
-            alloc_events: exhaustive_allocs,
-            unit: "pair",
-            per_unit: per(exhaustive_allocs, pair_count),
-        },
-        StageAlloc {
-            stage: "sim_indexed",
-            alloc_events: indexed_allocs,
-            unit: "pair",
-            per_unit: per(indexed_allocs, pair_count),
         },
         StageAlloc {
             stage: "sim_batched_warmup",
@@ -320,27 +275,14 @@ pub fn run(scale: &Scale) {
     }
     print!("{}", table.render());
     println!(
-        "keyphrase index: exhaustive {:.3}s vs indexed {:.3}s ({index_speedup:.2}x) vs \
-         batched {:.3}s ({batched_speedup:.2}x over indexed); \
+        "keyphrase similarity: {batched_steady_s:.3}s over {} mentions; \
          deterministic across thread counts: {deterministic}",
-        exhaustive_s, indexed_s, batched_steady_s
+        contexts.len()
     );
     println!(
         "allocations: steady-state batched scoring {batched_steady_allocs} events over {} \
          mentions ({steady_sim_allocs_per_mention:.4}/mention; warmup pass {batched_warm_allocs})",
         contexts.len()
-    );
-    let measured_ns_per_doc = runs
-        .first()
-        .map_or(0.0, |r| r.seconds * 1e9 / docs.len().max(1) as f64);
-    let pinned_speedup = if measured_ns_per_doc > 0.0 {
-        PINNED_BASELINE_1T_NS_PER_DOC / measured_ns_per_doc
-    } else {
-        1.0
-    };
-    println!(
-        "pinned baseline: 1-thread {measured_ns_per_doc:.0} ns/doc vs \
-         {PINNED_BASELINE_1T_NS_PER_DOC:.0} ns/doc at the PR-5 tip ({pinned_speedup:.2}x)"
     );
     println!(
         "metrics: snapshot identical across thread counts: {metrics_deterministic}; \
@@ -352,23 +294,11 @@ pub fn run(scale: &Scale) {
         unreachable!("the thread sweep runs at least once")
     };
     let kb_stats = *env.frozen.stats();
-    let sim_timings = SimTimings {
-        exhaustive_s,
-        indexed_s,
-        index_speedup,
-        batched_s: batched_steady_s,
-        batched_speedup,
-    };
-    let pinned = PinnedBaseline {
-        baseline_ns_per_doc: PINNED_BASELINE_1T_NS_PER_DOC,
-        measured_ns_per_doc,
-        speedup_vs_pinned: pinned_speedup,
-    };
     let json = render_json(
         docs.len(),
         mention_count,
         &runs,
-        &sim_timings,
+        batched_steady_s,
         deterministic,
         &kb_stats,
         &snapshot,
@@ -376,7 +306,6 @@ pub fn run(scale: &Scale) {
         metrics_off_seconds,
         metrics_overhead,
         &alloc_stages,
-        &pinned,
     );
     let path = "BENCH_throughput.json";
     match std::fs::write(path, &json) {
@@ -439,31 +368,12 @@ fn metrics_counters_json(snapshot: &MetricsSnapshot, indent: &str) -> String {
     out
 }
 
-/// Wall-clock figures of the per-pair scoring comparison.
-#[derive(Debug, Clone, Copy)]
-struct SimTimings {
-    exhaustive_s: f64,
-    indexed_s: f64,
-    index_speedup: f64,
-    batched_s: f64,
-    batched_speedup: f64,
-}
-
-/// The pinned before/after comparison row (see
-/// [`PINNED_BASELINE_1T_NS_PER_DOC`]).
-#[derive(Debug, Clone, Copy)]
-struct PinnedBaseline {
-    baseline_ns_per_doc: f64,
-    measured_ns_per_doc: f64,
-    speedup_vs_pinned: f64,
-}
-
 #[allow(clippy::too_many_arguments)]
 fn render_json(
     doc_count: usize,
     mention_count: usize,
     runs: &[Run],
-    sim: &SimTimings,
+    batched_seconds: f64,
     deterministic: bool,
     kb_stats: &FrozenKbStats,
     snapshot: &MetricsSnapshot,
@@ -471,7 +381,6 @@ fn render_json(
     metrics_off_seconds: f64,
     metrics_overhead: f64,
     alloc_stages: &[StageAlloc],
-    pinned: &PinnedBaseline,
 ) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"corpus\": \"conll-like\",\n");
@@ -503,15 +412,7 @@ fn render_json(
     }
     out.push_str("  ],\n");
     out.push_str(&format!(
-        "  \"pinned_baseline_1_thread\": {{\"baseline_ns_per_doc\": {:.0}, \
-         \"measured_ns_per_doc\": {:.0}, \"speedup_vs_pinned\": {:.3}}},\n",
-        pinned.baseline_ns_per_doc, pinned.measured_ns_per_doc, pinned.speedup_vs_pinned
-    ));
-    out.push_str(&format!(
-        "  \"keyphrase_index\": {{\"exhaustive_seconds\": {:.6}, \
-         \"indexed_seconds\": {:.6}, \"speedup\": {:.3}, \
-         \"batched_seconds\": {:.6}, \"batched_speedup_vs_indexed\": {:.3}}},\n",
-        sim.exhaustive_s, sim.indexed_s, sim.index_speedup, sim.batched_s, sim.batched_speedup
+        "  \"keyphrase_index\": {{\"batched_seconds\": {batched_seconds:.6}}},\n"
     ));
     out.push_str("  \"allocations\": {\n    \"stages\": [\n");
     for (i, s) in alloc_stages.iter().enumerate() {
@@ -589,13 +490,6 @@ mod tests {
         metrics.counter("aida_docs").add(20);
         metrics.counter("doc_status_ok").add(18);
         let snapshot = metrics.snapshot();
-        let sim = SimTimings {
-            exhaustive_s: 2.0,
-            indexed_s: 1.0,
-            index_speedup: 2.0,
-            batched_s: 0.5,
-            batched_speedup: 2.0,
-        };
         let stages = [
             StageAlloc {
                 stage: "pipeline_1_thread",
@@ -610,14 +504,8 @@ mod tests {
                 per_unit: 0.0,
             },
         ];
-        let pinned = PinnedBaseline {
-            baseline_ns_per_doc: 740_320.0,
-            measured_ns_per_doc: 500_000.0,
-            speedup_vs_pinned: 1.48,
-        };
-        let json = render_json(
-            20, 100, &runs, &sim, true, &stats, &snapshot, true, 1.9, 1.05, &stages, &pinned,
-        );
+        let json =
+            render_json(20, 100, &runs, 0.5, true, &stats, &snapshot, true, 1.9, 1.05, &stages);
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(json.contains("\"threads\": 4"));
@@ -632,7 +520,7 @@ mod tests {
         assert!(json.contains("\"aida_docs\": 20"));
         assert!(json.contains("\"doc_status_ok\": 18"));
         assert!(json.contains("\"off_seconds\": 1.900000"));
-        assert!(json.contains("\"baseline_ns_per_doc\": 740320"));
+        assert!(!json.contains("pinned_baseline"));
         assert!(json.contains("\"batched_seconds\": 0.500000"));
         assert!(json.contains("\"stage\": \"sim_batched_steady\""));
         assert!(json.contains("\"steady_state_sim_allocs_per_mention\": 0.0000"));

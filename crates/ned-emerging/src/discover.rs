@@ -10,7 +10,7 @@
 
 use ned_aida::candidates::CandidateFeatures;
 use ned_aida::config::AidaConfig;
-use ned_aida::cover::shortest_cover_unsorted_into;
+use ned_aida::cover::shortest_cover_into;
 use ned_aida::scratch::with_scratch;
 use ned_aida::{DisambiguationResult, Disambiguator};
 use ned_eval::gold::Label;
@@ -81,9 +81,9 @@ pub fn ee_simscore<K: KbView + ?Sized>(
     context: &[(usize, WordId)],
 ) -> f64 {
     let weights = kb.weights();
-    // One worker-local cover scratch serves every phrase of the model: the
-    // scratch-based cover is bit-identical to the reference
-    // `shortest_cover`, and the phrase/cover mass expressions are unchanged.
+    // One worker-local cover scratch serves every phrase of the model. Every
+    // `EePhrase` holds its words sorted and deduplicated, which is what the
+    // cover scan requires.
     with_scratch(|scratch| {
         let mut total = 0.0;
         for phrase in &model.phrases {
@@ -91,8 +91,7 @@ pub fn ee_simscore<K: KbView + ?Sized>(
             if phrase_mass <= 0.0 {
                 continue;
             }
-            let Some(shape) =
-                shortest_cover_unsorted_into(context, &phrase.words, &mut scratch.cover)
+            let Some(shape) = shortest_cover_into(context, &phrase.words, &mut scratch.cover)
             else {
                 continue;
             };

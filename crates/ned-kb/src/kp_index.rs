@@ -92,31 +92,13 @@ impl KeyphraseIndex {
         list.get(lo..hi).unwrap_or(&[])
     }
 
-    /// The phrases of entity `e` sharing at least one word with
-    /// `context_words`, sorted by phrase id and deduplicated — exactly the
-    /// phrases that can score non-zero against a context containing those
-    /// words. `context_words` need not be sorted or deduplicated.
-    pub fn matching_phrases(&self, e: EntityId, context_words: &[WordId]) -> Vec<PhraseId> {
-        self.matching_phrases_counted(e, context_words).0
-    }
-
-    /// Like [`KeyphraseIndex::matching_phrases`], but also returns the
-    /// number of postings scanned (entity-scoped postings visited before
-    /// deduplication) so callers can account for index work done.
-    pub fn matching_phrases_counted(
-        &self,
-        e: EntityId,
-        context_words: &[WordId],
-    ) -> (Vec<PhraseId>, u64) {
-        let mut out: Vec<PhraseId> = Vec::new();
-        let scanned = self.matching_phrases_into(e, context_words, &mut out);
-        (out, scanned)
-    }
-
-    /// [`KeyphraseIndex::matching_phrases_counted`] writing into a
-    /// caller-provided buffer (cleared first) instead of allocating — the
-    /// form used by the scoring hot path with its reusable scratch arena.
-    /// Returns the scanned-postings count.
+    /// Writes into `out` (cleared first) the phrases of entity `e` sharing
+    /// at least one word with `context_words`, sorted by phrase id and
+    /// deduplicated — exactly the phrases that can score non-zero against a
+    /// context containing those words. `context_words` need not be sorted
+    /// or deduplicated. Returns the number of postings scanned
+    /// (entity-scoped postings visited before deduplication), so callers
+    /// can account for index work done.
     pub fn matching_phrases_into(
         &self,
         e: EntityId,
@@ -174,14 +156,25 @@ mod tests {
         assert!(idx.entity_postings(jimmy, rock).iter().all(|&(e, _)| e == jimmy));
     }
 
+    /// The matching phrases of `e` for `context_words`, and the postings
+    /// scanned to find them.
+    fn matching(
+        kb: &crate::FrozenKb,
+        e: EntityId,
+        context_words: &[WordId],
+    ) -> (Vec<PhraseId>, u64) {
+        let mut out = Vec::new();
+        let scanned = kb.keyphrase_index().matching_phrases_into(e, context_words, &mut out);
+        (out, scanned)
+    }
+
     #[test]
     fn matching_phrases_equal_exhaustive_filter() {
         let kb = kb();
-        let idx = kb.keyphrase_index();
         let jimmy = kb.entity_by_name("Jimmy Page").unwrap();
         let ctx: Vec<WordId> =
             ["rock", "search"].iter().filter_map(|w| kb.word_id(w)).collect();
-        let via_index = idx.matching_phrases(jimmy, &ctx);
+        let (via_index, _) = matching(&kb, jimmy, &ctx);
         let exhaustive: Vec<PhraseId> = kb
             .keyphrases(jimmy)
             .iter()
@@ -194,23 +187,21 @@ mod tests {
     #[test]
     fn duplicate_context_words_do_not_duplicate_phrases() {
         let kb = kb();
-        let idx = kb.keyphrase_index();
         let jimmy = kb.entity_by_name("Jimmy Page").unwrap();
         let rock = kb.word_id("rock").unwrap();
-        let once = idx.matching_phrases(jimmy, &[rock]);
-        let twice = idx.matching_phrases(jimmy, &[rock, rock]);
+        let (once, _) = matching(&kb, jimmy, &[rock]);
+        let (twice, _) = matching(&kb, jimmy, &[rock, rock]);
         assert_eq!(once, twice);
         assert_eq!(once.len(), 2);
     }
 
     #[test]
-    fn counted_variant_reports_prededup_scans() {
+    fn matching_phrases_into_reports_prededup_scans() {
         let kb = kb();
-        let idx = kb.keyphrase_index();
         let jimmy = kb.entity_by_name("Jimmy Page").unwrap();
         let rock = kb.word_id("rock").unwrap();
-        let (phrases, scanned) = idx.matching_phrases_counted(jimmy, &[rock, rock]);
-        assert_eq!(phrases, idx.matching_phrases(jimmy, &[rock]));
+        let (phrases, scanned) = matching(&kb, jimmy, &[rock, rock]);
+        assert_eq!(phrases, matching(&kb, jimmy, &[rock]).0);
         // Two context occurrences of "rock" × two matching phrases: four
         // postings visited, deduplicated down to two phrases.
         assert_eq!(scanned, 4);

@@ -17,7 +17,8 @@
 //!   non-own word is exactly 0).
 //!
 //! **Bit-identity contract:** every mass stored here is computed by the
-//! *exact* expression the reference `phrase_score` uses —
+//! *exact* expression the reference `phrase_score` of the test oracle
+//! (`tests/common/oracle.rs`) uses —
 //! `run.iter().map(weight).sum::<f64>()` over the sorted-deduplicated run —
 //! so reading the precomputed value is indistinguishable from recomputing
 //! it, down to the sign of zero. `tests/frozen_equivalence.rs` checks this
@@ -66,7 +67,8 @@ impl PhraseRuns {
         run_offsets.push(0u32);
         for pi in 0..phrase_count {
             let p = PhraseId::from_index(pi);
-            // Exactly the reference computation in `phrase_score`: to_vec,
+            // Exactly the reference computation in the test oracle's
+            // `phrase_score` (`tests/common/oracle.rs`): to_vec,
             // sort_unstable, dedup, then sum weights over the run.
             let mut ws = words_of(p).to_vec();
             ws.sort_unstable();

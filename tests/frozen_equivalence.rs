@@ -7,18 +7,19 @@
 //! float. The similarity and disambiguation properties then run on the
 //! frozen KB (and on an empty [`DeltaKb`] overlay over it, the other read
 //! backend), with the reference scorers `phrase_score` and
-//! `simscore_exhaustive` as the oracle. These properties drive randomly
+//! `simscore_exhaustive` of `common/oracle.rs` as the oracle. These properties drive randomly
 //! built worlds through both sides.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
+
+#[path = "common/oracle.rs"]
+mod oracle;
 
 use std::sync::Arc;
 
 use aida_ned::aida::context::DocumentContext;
 use aida_ned::aida::cover::CoverScratch;
-use aida_ned::aida::similarity::{
-    phrase_score, phrase_score_run, simscore, simscore_exhaustive, simscores_batch,
-};
+use aida_ned::aida::similarity::{phrase_score_run, simscores_batch_into};
 use aida_ned::aida::{AidaConfig, Disambiguator, KeywordWeighting, NedMethod, SimObs};
 use aida_ned::kb::snapshot::{encode, read_frozen_snapshot, write_frozen_snapshot};
 use aida_ned::kb::{
@@ -27,6 +28,7 @@ use aida_ned::kb::{
 use aida_ned::obs::Metrics;
 use aida_ned::relatedness::MilneWitten;
 use aida_ned::text::{tokenize, Mention};
+use oracle::{phrase_score, production_simscores, simscore_exhaustive};
 use proptest::prelude::*;
 
 /// (surface, anchor/occurrence count) pairs of one entity.
@@ -170,7 +172,7 @@ proptest! {
         let ctx = DocumentContext::build(&frozen, &tokens).words;
         for e in kb.entity_ids() {
             for weighting in [KeywordWeighting::Npmi, KeywordWeighting::Idf] {
-                let f = simscore(&frozen, e, &ctx, weighting);
+                let f = production_simscores(&frozen, &[e], &ctx, weighting)[0];
                 let o = simscore_exhaustive(&frozen, e, &ctx, weighting);
                 prop_assert_eq!(f.to_bits(), o.to_bits(), "simscore({:?}) {} vs {}", e, f, o);
             }
@@ -227,13 +229,14 @@ proptest! {
         // reuses the thread-local arena, which also persists across
         // proptest cases in this thread.
         let mut cover = CoverScratch::new();
+        let mut batched = Vec::new();
         for weighting in [KeywordWeighting::Npmi, KeywordWeighting::Idf] {
             let reference: Vec<f64> = entities
                 .iter()
                 .map(|&e| simscore_exhaustive(&frozen, e, &ctx, weighting))
                 .collect();
             for pass in 0..2 {
-                let batched = simscores_batch(&frozen, &entities, &ctx, weighting, &obs);
+                simscores_batch_into(&frozen, &entities, &ctx, weighting, &obs, &mut batched);
                 prop_assert_eq!(batched.len(), reference.len());
                 for (i, (b, r)) in batched.iter().zip(&reference).enumerate() {
                     prop_assert_eq!(
@@ -242,8 +245,8 @@ proptest! {
                     );
                 }
             }
-            let delta_batched = simscores_batch(&delta, &entities, &ctx, weighting, &obs);
-            for (b, r) in delta_batched.iter().zip(&reference) {
+            simscores_batch_into(&delta, &entities, &ctx, weighting, &obs, &mut batched);
+            for (b, r) in batched.iter().zip(&reference) {
                 prop_assert_eq!(b.to_bits(), r.to_bits());
             }
             for &e in &entities {

@@ -11,10 +11,12 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+#[path = "common/oracle.rs"]
+mod oracle;
+
 use std::sync::Arc;
 
 use aida_ned::aida::context::DocumentContext;
-use aida_ned::aida::similarity::{simscore, simscore_exhaustive};
 use aida_ned::aida::{AidaConfig, Disambiguator, KeywordWeighting};
 use aida_ned::kb::{DeltaKb, EntityKind, FrozenKb, KbBuilder};
 use aida_ned::relatedness::{CachedRelatedness, MilneWitten};
@@ -23,6 +25,7 @@ use aida_ned::wikigen::config::WorldConfig;
 use aida_ned::wikigen::corpus::conll_like;
 use aida_ned::wikigen::{ExportedKb, World};
 use ned_bench::runner::{run_method_with_threads, Evaluation};
+use oracle::{production_simscores, simscore_exhaustive};
 use proptest::prelude::*;
 
 /// Outcomes are equal down to the sign bit of every confidence value.
@@ -155,7 +158,7 @@ proptest! {
         let window = ctx.words.clone();
         for &e in &entities {
             for weighting in [KeywordWeighting::Npmi, KeywordWeighting::Idf] {
-                let fast = simscore(&kb, e, &window, weighting);
+                let fast = production_simscores(&kb, &[e], &window, weighting)[0];
                 let slow = simscore_exhaustive(&kb, e, &window, weighting);
                 prop_assert_eq!(
                     fast.to_bits(),

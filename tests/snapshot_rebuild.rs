@@ -9,12 +9,15 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+#[path = "common/oracle.rs"]
+mod oracle;
+
 use aida_ned::aida::context::DocumentContext;
-use aida_ned::aida::similarity::{simscore, simscore_exhaustive};
 use aida_ned::aida::KeywordWeighting;
 use aida_ned::kb::snapshot::{read_frozen_snapshot, write_frozen_snapshot};
 use aida_ned::kb::{EntityKind, FrozenKb, KbBuilder, KbView};
 use aida_ned::text::tokenize;
+use oracle::{production_simscores, simscore_exhaustive};
 
 /// A small world with name ambiguity, keyphrases, and links — enough for
 /// both transient indexes to have observable behaviour.
@@ -65,9 +68,9 @@ fn assert_transients_rebuilt<K: KbView + ?Sized>(kb: &K, reference: &FrozenKb, p
     assert_eq!(window, ref_window, "{path}: context window diverged");
     for e in kb.entity_ids() {
         for weighting in [KeywordWeighting::Npmi, KeywordWeighting::Idf] {
-            let loaded = simscore(kb, e, &window, weighting);
+            let loaded = production_simscores(kb, &[e], &window, weighting)[0];
             let exhaustive = simscore_exhaustive(kb, e, &window, weighting);
-            let expected = simscore(reference, e, &ref_window, weighting);
+            let expected = production_simscores(reference, &[e], &ref_window, weighting)[0];
             assert_eq!(
                 loaded.to_bits(),
                 exhaustive.to_bits(),
@@ -83,7 +86,7 @@ fn assert_transients_rebuilt<K: KbView + ?Sized>(kb: &K, reference: &FrozenKb, p
     // The probe is only meaningful if some entity actually matches.
     let scored = kb
         .entity_ids()
-        .filter(|&e| simscore(kb, e, &window, KeywordWeighting::Npmi) > 0.0)
+        .filter(|&e| production_simscores(kb, &[e], &window, KeywordWeighting::Npmi)[0] > 0.0)
         .count();
     assert!(scored > 0, "{path}: similarity probe matched nothing");
 }
