@@ -8,7 +8,7 @@
 //!    promotion tracker.
 //! 2. **Promote** — surfaces meeting the support + confidence policy are
 //!    promoted: their mutation sequences are appended to a real on-disk
-//!    WAL and folded into a fresh [`DeltaKb`] overlay, published by an
+//!    WAL and merged into a fresh [`DeltaKb`] epoch, published by an
 //!    atomic [`KbHandle`] epoch swap (exactly what a serving deployment
 //!    does between requests).
 //! 3. **Re-annotate** — a fixed evaluation set (every stream document with
@@ -20,8 +20,9 @@
 //!
 //! The run also asserts the subsystem's integrity contracts in-bench:
 //! replaying the WAL reproduces the accumulated mutation list exactly, and
-//! compacting the final overlay yields a [`FrozenKb`] whose re-annotation
-//! of the evaluation set is bit-identical to the overlay's. The whole
+//! compacting the final delta epoch yields a [`FrozenKb`] whose
+//! re-annotation of the evaluation set is bit-identical to the epoch's. The
+//! whole
 //! benchmark is pure computation over fixed seeds and is executed twice;
 //! the two runs must serialize to byte-identical JSON
 //! (`virtual_deterministic`). The `streaming_check` binary re-validates
@@ -178,7 +179,7 @@ fn run_once(env: &Env, stream_docs: &[GoldDoc], n_days: u32, wal_path: &std::pat
             }
         }
 
-        // --- promote: WAL append + overlay rebuild + epoch swap ----------
+        // --- promote: WAL append + delta rebuild + epoch swap ------------
         let promotions = tracker.drain_promotions(&policy, &models, &epoch, &metrics);
         for promotion in &promotions {
             for mutation in &promotion.mutations {

@@ -16,7 +16,7 @@
 //!   annotate --threads 4 "text"   # service worker threads
 //!   annotate --wal live.wal "…"   # replay an incremental-KB WAL over the
 //!                                 # frozen base and annotate against the
-//!                                 # resulting delta overlay (promoted
+//!                                 # resulting delta epoch (promoted
 //!                                 # emerging entities become linkable)
 
 use std::sync::Arc;
@@ -75,7 +75,7 @@ fn main() {
     let world = World::generate(WorldConfig::tiny(seed));
     let exported = ExportedKb::build(&world);
     // The service configuration: one frozen KB behind a shared Arc handle,
-    // optionally with a WAL-replayed delta overlay on top.
+    // optionally with a WAL-replayed delta epoch merged in.
     let frozen = Arc::new(FrozenKb::freeze(&exported.kb));
     let kb = match &wal_path {
         Some(path) => {
@@ -102,7 +102,7 @@ fn main() {
                         eprintln!("WAL {path} does not apply to this world: {e}");
                         std::process::exit(2);
                     });
-                eprintln!("delta overlay: +{} entities", delta.delta_entity_count());
+                eprintln!("delta epoch: +{} entities", delta.delta_entity_count());
                 Arc::new(KbEpoch::Delta(Arc::new(delta)))
             }
         }

@@ -12,7 +12,7 @@
 //! Checked globally:
 //!   - `"virtual_deterministic": true` (two full runs bit-identical)
 //!   - `"wal_replay_consistent": true` (WAL replay reproduces mutations)
-//!   - `"compaction_equivalent": true` (overlay == compacted snapshot)
+//!   - `"compaction_equivalent": true` (delta epoch == compacted snapshot)
 //!   - `"accuracy_improved": true` and `"accuracy_monotone": true` — the
 //!     EE linked accuracy improves as promotions land, and never regresses
 //!   - cumulative promotions across rounds never exceed cumulative
@@ -133,7 +133,7 @@ fn validate(rounds: &[Round], flags: Flags) -> Vec<String> {
         errors.push("WAL replay did not reproduce the accumulated mutations".to_string());
     }
     if !flags.compaction_equivalent {
-        errors.push("compacted snapshot diverged from the delta overlay".to_string());
+        errors.push("compacted snapshot diverged from the delta epoch".to_string());
     }
     if !flags.accuracy_monotone {
         errors.push("EE linked accuracy regressed between rounds".to_string());

@@ -7,7 +7,8 @@
 //! does that by rebuilding the whole KB; this module is the *incremental*
 //! counterpart — it emits the equivalent [`KbMutation`] sequence so the
 //! entity can be appended to the WAL and served through a
-//! [`ned_kb::DeltaKb`] overlay without a rebuild.
+//! [`ned_kb::DeltaKb`] epoch (the KB with the mutations merged in) without
+//! re-running the KB export.
 //!
 //! The policy is deliberately simple and deterministic:
 //!
@@ -149,8 +150,8 @@ impl PromotionTracker {
             }
             let canonical_name = format!("{surface} (emerging)");
             if kb.entity_by_name(&canonical_name).is_some() {
-                // Already in the KB (e.g. promoted by an earlier overlay the
-                // caller now serves): consume the evidence, emit nothing.
+                // Already in the KB (e.g. promoted by an earlier delta epoch
+                // the caller now serves): consume the evidence, emit nothing.
                 self.stats.remove(&surface);
                 self.promoted.insert(surface, canonical_name);
                 continue;

@@ -35,7 +35,6 @@ use crate::keyphrase::EntityPhrase;
 use crate::kp_index::KeyphraseIndex;
 use crate::phrase_runs::PhraseRuns;
 use crate::store::KnowledgeBase;
-use crate::view::DictIter;
 use crate::weights::WeightModel;
 
 /// Converts a length to a `u32` CSR offset.
@@ -93,17 +92,17 @@ impl FrozenDictionary {
     /// Iterates over all (name-key, candidates) entries in ascending key
     /// order, without allocating.
     pub fn iter(&self) -> DictIter<'_> {
-        DictIter::Frozen { dict: self, next: 0 }
+        DictIter { dict: self, next: 0 }
     }
 
     /// The `i`-th key in ascending order.
-    pub(crate) fn key_at(&self, i: usize) -> &str {
+    fn key_at(&self, i: usize) -> &str {
         // ned-lint: allow(p1) — CSR invariant: offsets has len()+1 entries
         &self.key_arena[self.key_offsets[i] as usize..self.key_offsets[i + 1] as usize]
     }
 
     /// The candidate list of the `i`-th key.
-    pub(crate) fn candidates_at(&self, i: usize) -> &[Candidate] {
+    fn candidates_at(&self, i: usize) -> &[Candidate] {
         // ned-lint: allow(p1) — CSR invariant: offsets has len()+1 entries
         &self.candidates[self.cand_offsets[i] as usize..self.cand_offsets[i + 1] as usize]
     }
@@ -127,12 +126,6 @@ impl FrozenDictionary {
     pub fn candidates(&self, surface: &str) -> &[Candidate] {
         let key = match_key(&squash_whitespace(surface));
         self.find(&key).map_or(&[], |i| self.candidates_at(i))
-    }
-
-    /// Candidate list for an **already-normalized** match key, skipping the
-    /// case rules (overlay fall-through in [`crate::delta`]).
-    pub(crate) fn candidates_by_key(&self, key: &str) -> &[Candidate] {
-        self.find(key).map_or(&[], |i| self.candidates_at(i))
     }
 
     /// Popularity prior p(e | name) (§3.3.3) — identical arithmetic to the
@@ -166,6 +159,31 @@ impl FrozenDictionary {
         self.key_arena.len()
             + (self.key_offsets.len() + self.cand_offsets.len()) * size_of::<u32>()
             + self.candidates.len() * size_of::<Candidate>()
+    }
+}
+
+/// Zero-alloc iterator over the dictionary entries in ascending key order.
+pub struct DictIter<'a> {
+    dict: &'a FrozenDictionary,
+    next: usize,
+}
+
+impl std::fmt::Debug for DictIter<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DictIter").field("next", &self.next).finish_non_exhaustive()
+    }
+}
+
+impl<'a> Iterator for DictIter<'a> {
+    type Item = (&'a str, &'a [Candidate]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.next >= self.dict.name_count() {
+            return None;
+        }
+        let i = self.next;
+        self.next += 1;
+        Some((self.dict.key_at(i), self.dict.candidates_at(i)))
     }
 }
 
@@ -730,10 +748,11 @@ mod tests {
         assert_eq!(fz.word_id("no-such-word"), None);
         // Inverted index: identical postings to one built over the
         // build-time stores.
-        let index = KeyphraseIndex::build(
-            kb.keyphrase_store(),
-            kb.phrase_interner(),
+        let index = KeyphraseIndex::build_raw(
             kb.word_interner().len(),
+            kb.entity_count(),
+            |e| kb.keyphrases(e),
+            |p| kb.phrase_words(p),
         );
         assert_eq!(fz.keyphrase_index().posting_count(), index.posting_count());
         for wi in 0..kb.word_interner().len() {

@@ -1,7 +1,8 @@
 //! Epoch-based publication of KB versions to concurrent readers.
 //!
 //! The incremental KB changes over time — a promotion run builds a new
-//! [`DeltaKb`], compaction produces a fresh [`FrozenKb`] — but annotation
+//! [`DeltaKb`] (the merged KB, frozen: every live epoch holds one full
+//! frozen KB), compaction produces a standalone [`FrozenKb`] — but annotation
 //! workers must never block on those writes, and an in-flight request must
 //! see one consistent KB from start to finish. [`KbHandle`] provides that:
 //! an atomically swappable `Arc` (hand-rolled arc-swap: a generation
@@ -18,7 +19,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use ned_obs::{names, Metrics};
+use ned_obs::{names, Counter, Metrics};
 
 use crate::delta::DeltaKb;
 use crate::dictionary::Candidate;
@@ -28,26 +29,18 @@ use crate::ids::{EntityId, PhraseId, WordId};
 use crate::keyphrase::EntityPhrase;
 use crate::kp_index::KeyphraseIndex;
 use crate::phrase_runs::PhraseRuns;
-use crate::view::{DictView, KbView, LinksView};
+use crate::view::{delegate_kb_view, DictView, KbView, LinksView};
 use crate::weights::WeightModel;
 
 /// One published version of the knowledge base: either a plain frozen
-/// snapshot or a frozen base with a delta overlay.
+/// snapshot or a frozen base with mutations merged in.
 #[derive(Debug, Clone)]
 pub enum KbEpoch {
     /// A compacted (or initial) frozen KB.
     Frozen(Arc<FrozenKb>),
-    /// A frozen base plus copy-on-write overlay.
+    /// A frozen base with a mutation sequence merged in (itself a full
+    /// frozen KB).
     Delta(Arc<DeltaKb>),
-}
-
-macro_rules! on_epoch {
-    ($self_:expr, $kb:ident => $body:expr) => {
-        match $self_ {
-            KbEpoch::Frozen($kb) => $body,
-            KbEpoch::Delta($kb) => $body,
-        }
-    };
 }
 
 impl KbEpoch {
@@ -58,66 +51,18 @@ impl KbEpoch {
             KbEpoch::Delta(d) => d.delta_entity_count(),
         }
     }
+
+    /// The frozen KB every read of this epoch goes to.
+    fn frozen(&self) -> &FrozenKb {
+        match self {
+            KbEpoch::Frozen(kb) => kb,
+            KbEpoch::Delta(d) => d.frozen(),
+        }
+    }
 }
 
 impl KbView for KbEpoch {
-    fn entity_count(&self) -> usize {
-        on_epoch!(self, kb => kb.entity_count())
-    }
-    fn entity(&self, e: EntityId) -> &Entity {
-        on_epoch!(self, kb => kb.entity(e))
-    }
-    fn entity_by_name(&self, canonical_name: &str) -> Option<EntityId> {
-        on_epoch!(self, kb => kb.entity_by_name(canonical_name))
-    }
-    fn candidates(&self, surface: &str) -> &[Candidate] {
-        on_epoch!(self, kb => kb.candidates(surface))
-    }
-    fn prior(&self, surface: &str, e: EntityId) -> f64 {
-        on_epoch!(self, kb => kb.prior(surface, e))
-    }
-    fn dictionary(&self) -> DictView<'_> {
-        match self {
-            KbEpoch::Frozen(kb) => KbView::dictionary(&**kb),
-            KbEpoch::Delta(kb) => KbView::dictionary(&**kb),
-        }
-    }
-    fn links(&self) -> LinksView<'_> {
-        match self {
-            KbEpoch::Frozen(kb) => KbView::links(&**kb),
-            KbEpoch::Delta(kb) => KbView::links(&**kb),
-        }
-    }
-    fn keyphrases(&self, e: EntityId) -> &[EntityPhrase] {
-        on_epoch!(self, kb => kb.keyphrases(e))
-    }
-    fn keyphrase_index(&self) -> &KeyphraseIndex {
-        on_epoch!(self, kb => kb.keyphrase_index())
-    }
-    fn phrase_words(&self, p: PhraseId) -> &[WordId] {
-        on_epoch!(self, kb => kb.phrase_words(p))
-    }
-    fn phrase_surface(&self, p: PhraseId) -> &str {
-        on_epoch!(self, kb => kb.phrase_surface(p))
-    }
-    fn word_text(&self, w: WordId) -> &str {
-        on_epoch!(self, kb => kb.word_text(w))
-    }
-    fn word_id(&self, text: &str) -> Option<WordId> {
-        on_epoch!(self, kb => kb.word_id(text))
-    }
-    fn word_count(&self) -> usize {
-        on_epoch!(self, kb => kb.word_count())
-    }
-    fn phrase_count(&self) -> usize {
-        on_epoch!(self, kb => kb.phrase_count())
-    }
-    fn weights(&self) -> &WeightModel {
-        on_epoch!(self, kb => kb.weights())
-    }
-    fn phrase_runs(&self) -> &PhraseRuns {
-        on_epoch!(self, kb => kb.phrase_runs())
-    }
+    delegate_kb_view!(self => self.frozen());
 }
 
 /// Atomically swappable handle on the current KB epoch.
@@ -130,7 +75,7 @@ impl KbView for KbEpoch {
 pub struct KbHandle {
     current: RwLock<Arc<KbEpoch>>,
     generation: AtomicU64,
-    metrics: Metrics,
+    swaps: Counter,
 }
 
 impl KbHandle {
@@ -145,7 +90,7 @@ impl KbHandle {
         KbHandle {
             current: RwLock::new(Arc::new(epoch)),
             generation: AtomicU64::new(0),
-            metrics: metrics.clone(),
+            swaps: metrics.counter(names::KB_EPOCH_SWAPS),
         }
     }
 
@@ -181,7 +126,7 @@ impl KbHandle {
         // Bump *after* the store: a reader that sees the new generation is
         // guaranteed to load the new epoch on its next (re-)pin.
         let generation = self.generation.fetch_add(1, Ordering::AcqRel) + 1;
-        self.metrics.counter(names::KB_EPOCH_SWAPS).inc();
+        self.swaps.inc();
         generation
     }
 }

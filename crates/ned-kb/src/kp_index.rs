@@ -11,14 +11,12 @@
 //!
 //! Postings are sorted by `(entity, phrase)` so one binary search yields an
 //! entity's slice of a word's posting list. The index is transient (built
-//! when a KB is frozen or overlaid, never persisted), like the other lookup
-//! indexes.
+//! when a KB is frozen, never persisted), like the other lookup indexes.
 
 use crate::ids::{EntityId, PhraseId, WordId};
-use crate::keyphrase::{EntityPhrase, KeyphraseStore};
-use crate::vocab::PhraseInterner;
+use crate::keyphrase::EntityPhrase;
 
-/// Word → (entity, phrase) postings over a [`KeyphraseStore`].
+/// Word → (entity, phrase) postings over all entities' keyphrase sets.
 #[derive(Debug, Default, Clone)]
 pub struct KeyphraseIndex {
     /// `postings[w]` lists every (entity, phrase) whose phrase contains
@@ -27,19 +25,9 @@ pub struct KeyphraseIndex {
 }
 
 impl KeyphraseIndex {
-    /// Builds the index over all entities' keyphrase sets.
-    pub fn build(store: &KeyphraseStore, phrases: &PhraseInterner, word_count: usize) -> Self {
-        Self::build_raw(
-            word_count,
-            store.len(),
-            |e| store.phrases(e),
-            |p| phrases.words(p),
-        )
-    }
-
-    /// Builds the index from raw accessors, so both the frozen CSR arrays
-    /// and the nested build-time stores produce identical postings from
-    /// the same one construction routine.
+    /// Builds the index over all entities' keyphrase sets, read through
+    /// raw accessors (the frozen CSR arrays in production, the nested
+    /// build-time stores in tests).
     pub(crate) fn build_raw<'x>(
         word_count: usize,
         entity_count: usize,

@@ -18,9 +18,10 @@
 //!
 //! A KB is built with [`KbBuilder`] into a [`KnowledgeBase`], whose only
 //! exit to the read path is [`FrozenKb::freeze`]. Consumers read through
-//! the [`KbView`] trait, implemented by the columnar [`FrozenKb`] and the
-//! copy-on-write [`DeltaKb`] overlay on top of one; [`snapshot`] persists a
-//! frozen KB in the sectioned v3 format.
+//! the [`KbView`] trait over the columnar [`FrozenKb`], the one runtime
+//! representation: a [`DeltaKb`] is a frozen base with a mutation sequence
+//! merged in and frozen again (one full frozen KB per live epoch);
+//! [`snapshot`] persists a frozen KB in the sectioned v3 format.
 
 pub mod builder;
 pub mod delta;

@@ -8,7 +8,7 @@
 //!
 //! Mutations refer to entities by **canonical name**, not [`EntityId`]:
 //! ids are dense indexes assigned at apply time, so a name-based record is
-//! stable across WAL replay, overlay rebuilds, and compaction (a promoted
+//! stable across WAL replay, delta rebuilds, and compaction (a promoted
 //! entity keeps meaning "the entity named X" no matter how many other
 //! promotions landed first). Resolution failures surface as typed
 //! [`ned_core::NedError::Lookup`] / [`ned_core::NedError::Config`] errors

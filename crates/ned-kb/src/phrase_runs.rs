@@ -50,10 +50,8 @@ pub struct PhraseRuns {
 }
 
 impl PhraseRuns {
-    /// Builds runs and masses from raw accessors, so both read
-    /// representations (frozen CSR arrays and the merged stores behind an
-    /// overlay) produce identical values from the same one construction routine
-    /// (mirroring [`crate::kp_index::KeyphraseIndex::build_raw`]).
+    /// Builds runs and masses from raw accessors over the frozen CSR
+    /// arrays (mirroring [`crate::kp_index::KeyphraseIndex::build_raw`]).
     pub(crate) fn build_raw<'x>(
         phrase_count: usize,
         entity_count: usize,

@@ -2,9 +2,9 @@
 //!
 //! The WAL is the durability half of the incremental KB (DESIGN.md §15):
 //! every mutation the emerging-entity loop wants to make is appended here
-//! *before* it is folded into a [`crate::delta::DeltaKb`] overlay, so a
+//! *before* it is merged into a [`crate::delta::DeltaKb`] epoch, so a
 //! crash between promotion and compaction loses nothing — reopening the
-//! log replays the surviving prefix into the same overlay.
+//! log replays the surviving prefix into the same epoch.
 //!
 //! ## Format
 //!
@@ -36,7 +36,7 @@ use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use ned_core::{NedError, WalError};
-use ned_obs::{names, Metrics};
+use ned_obs::{names, Counter, Metrics};
 use serde::{Deserialize, Serialize};
 
 use crate::mutation::{KbMutation, WireMutation};
@@ -228,7 +228,7 @@ pub struct Wal {
     file: File,
     path: PathBuf,
     next_seq: u64,
-    metrics: Metrics,
+    records: Counter,
 }
 
 impl Wal {
@@ -272,9 +272,9 @@ impl Wal {
         file.seek(SeekFrom::End(0))
             .map_err(|e| NedError::io(format!("seeking WAL {}", path.display()), e))?;
         metrics.counter(names::KB_WAL_REPLAYS).inc();
-        metrics.counter(names::KB_WAL_RECORDS).add(replay.records);
-        let wal =
-            Wal { file, path, next_seq: replay.next_seq(), metrics: metrics.clone() };
+        let records = metrics.counter(names::KB_WAL_RECORDS);
+        records.add(replay.records);
+        let wal = Wal { file, path, next_seq: replay.next_seq(), records };
         Ok((wal, replay))
     }
 
@@ -288,7 +288,7 @@ impl Wal {
             .and_then(|()| self.file.flush())
             .map_err(|e| NedError::io(format!("appending to WAL {}", self.path.display()), e))?;
         self.next_seq += 1;
-        self.metrics.counter(names::KB_WAL_RECORDS).inc();
+        self.records.inc();
         Ok(seq)
     }
 

@@ -174,7 +174,7 @@ pub const STAGE_SNAPSHOT_READ_NS: &str = "stage_snapshot_read_ns";
 pub const KB_WAL_RECORDS: &str = "kb_wal_records";
 /// WAL replay passes (one per `Wal::open`).
 pub const KB_WAL_REPLAYS: &str = "kb_wal_replays";
-/// Gauge: entities added by the current delta overlay on top of the
+/// Gauge: entities added by the current delta epoch on top of the
 /// frozen base.
 pub const KB_DELTA_ENTITIES: &str = "kb_delta_entities";
 /// Epoch swaps published to readers (`KbHandle::swap`).

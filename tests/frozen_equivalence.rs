@@ -5,8 +5,8 @@
 //! link neighborhoods, keyphrase sets, interner lookups, weights — must be
 //! *identical* to the build-time accessors, down to the bit pattern of every
 //! float. The similarity and disambiguation properties then run on the
-//! frozen KB (and on an empty [`DeltaKb`] overlay over it, the other read
-//! backend), with the reference scorers `phrase_score` and
+//! frozen KB (and on an empty [`DeltaKb`] over it, the delta read path),
+//! with the reference scorers `phrase_score` and
 //! `simscore_exhaustive` of `common/oracle.rs` as the oracle. These properties drive randomly
 //! built worlds through both sides.
 
@@ -99,7 +99,7 @@ fn build_world(spec: &WorldSpec) -> (KnowledgeBase, Vec<String>) {
     (builder.build(), name_pool)
 }
 
-/// The frozen KB and an empty overlay over it: the two read backends.
+/// The frozen KB and an empty delta epoch over it: the two epoch types.
 fn backends(kb: &KnowledgeBase) -> (Arc<FrozenKb>, DeltaKb) {
     let frozen = Arc::new(FrozenKb::freeze(kb));
     let delta = DeltaKb::build(Arc::clone(&frozen), Vec::new()).unwrap();

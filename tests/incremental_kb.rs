@@ -1,15 +1,16 @@
 //! Equivalence suite for the incremental KB (DESIGN.md §15).
 //!
-//! The copy-on-write overlay is only allowed to exist because it is
-//! *indistinguishable* from rebuilding the knowledge base from scratch.
-//! This suite pins that contract at the integration level:
+//! A delta epoch must be *indistinguishable* from rebuilding the knowledge
+//! base from scratch. This suite pins that contract at the integration
+//! level:
 //!
 //! 1. **Read equivalence** (property-tested): for arbitrary valid mutation
 //!    batches, every `KbView` read — entities, dictionary candidates,
 //!    priors, links, keyphrases, interners — is bitwise-identical across
-//!    three backends: the [`DeltaKb`] overlay, its [`DeltaKb::compact`]
-//!    output, and a from-scratch build of the same operations, frozen.
-//! 2. **Disambiguation equivalence**: a WAL-replayed overlay and its
+//!    three backends: the [`DeltaKb`] epoch, its [`DeltaKb::compact`]
+//!    output, and a from-scratch build of the same operations, frozen;
+//!    and the compacted KB's snapshot bytes equal the from-scratch KB's.
+//! 2. **Disambiguation equivalence**: a WAL-replayed delta epoch and its
 //!    compacted snapshot annotate the quick corpus identically — same
 //!    assignments (confidences compared by bits), same ned-obs counters —
 //!    across 1/2/4/8 worker threads.
@@ -20,6 +21,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
 
 use aida_ned::aida::{AidaConfig, Disambiguator};
+use aida_ned::kb::snapshot::write_frozen_snapshot;
 use aida_ned::kb::{DeltaKb, EntityId, EntityKind, FrozenKb, KbBuilder, KbMutation, KbView, Wal};
 use aida_ned::obs::Metrics;
 use aida_ned::relatedness::MilneWitten;
@@ -34,7 +36,7 @@ use proptest::prelude::*;
 // Read equivalence over arbitrary mutation batches
 // ---------------------------------------------------------------------------
 
-/// The base world the overlay grows over: a handful of entities with
+/// The base world the delta epoch grows over: a handful of entities with
 /// names, keyphrases, and links, plus the operation list that built it so
 /// the from-scratch reference can replay base + mutations in one pass.
 fn base_ops() -> Vec<KbMutation> {
@@ -62,7 +64,7 @@ fn base_ops() -> Vec<KbMutation> {
 }
 
 /// Applies one mutation through the build-time [`KbBuilder`] API — the
-/// from-scratch reference path the overlay must agree with. `ids` carries
+/// from-scratch reference path the delta epoch must agree with. `ids` carries
 /// the name→id assignments of every entity added so far.
 fn apply_to_builder(b: &mut KbBuilder, ids: &mut HashMap<String, EntityId>, m: &KbMutation) {
     match m {
@@ -163,9 +165,10 @@ fn assert_reads_identical<K1: KbView, K2: KbView>(a: &K1, b: &K2, surfaces: &[St
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// For arbitrary valid mutation batches, the overlay, its compaction,
-    /// and the from-scratch frozen KB are bitwise-indistinguishable through
-    /// every `KbView` read.
+    /// For arbitrary valid mutation batches, the delta epoch, its
+    /// compaction, and the from-scratch frozen KB are
+    /// bitwise-indistinguishable through every `KbView` read, and the
+    /// compaction serializes to the from-scratch KB's snapshot bytes.
     #[test]
     fn overlay_reads_match_every_from_scratch_backend(
         seeds in proptest::collection::vec(
@@ -181,7 +184,7 @@ proptest! {
             .map(|&(op, a, b, c)| decode_mutation(op, a, b, c, &mut known, &mut fresh))
             .collect();
 
-        // Base KB, frozen; overlay over it.
+        // Base KB, frozen; delta epoch over it.
         let mut builder = KbBuilder::new();
         let mut base_ids = HashMap::new();
         for op in &base {
@@ -209,6 +212,13 @@ proptest! {
         assert_reads_identical(&delta, &scratch_frozen, &surfaces, "delta vs frozen");
         assert_reads_identical(&delta, &compacted, &surfaces, "delta vs compacted");
         prop_assert_eq!(delta.entity_count(), 5 + fresh as usize);
+
+        // Checked against an independent build, not against the thaw that
+        // produced the compaction.
+        let (mut compacted_bytes, mut scratch_bytes) = (Vec::new(), Vec::new());
+        write_frozen_snapshot(&compacted, &mut compacted_bytes).expect("snapshot writes");
+        write_frozen_snapshot(&scratch_frozen, &mut scratch_bytes).expect("snapshot writes");
+        prop_assert!(compacted_bytes == scratch_bytes, "compacted snapshot differs from scratch");
     }
 }
 
@@ -228,7 +238,7 @@ fn corpus_env() -> &'static (ExportedKb, Vec<GoldDoc>) {
 
 /// A promotion-shaped mutation batch over the exported world: emerging
 /// entities whose surfaces are the corpus' real out-of-KB mentions, so the
-/// overlay genuinely changes candidate sets (the equivalence is not
+/// delta epoch genuinely changes candidate sets (the equivalence is not
 /// vacuous), linked into the existing graph.
 fn promotion_batch(exported: &ExportedKb, docs: &[GoldDoc]) -> Vec<KbMutation> {
     let kb = &exported.kb;
@@ -292,7 +302,7 @@ fn annotate_corpus<K: KbView + Clone>(
     (eval.docs, metrics.snapshot())
 }
 
-/// The WAL-replayed overlay and its compacted snapshot annotate the corpus
+/// The WAL-replayed delta epoch and its compacted snapshot annotate the corpus
 /// identically — assignments and ned-obs counters — at every thread count.
 #[test]
 fn wal_replayed_overlay_and_compaction_annotate_identically() {
@@ -321,7 +331,7 @@ fn wal_replayed_overlay_and_compaction_annotate_identically() {
     let compacted = Arc::new(delta.compact().expect("compaction succeeds"));
     assert_eq!(delta.delta_entity_count(), 6);
 
-    // The overlay must actually change the corpus' candidate sets —
+    // The delta epoch must actually change the corpus' candidate sets —
     // otherwise this equivalence would hold trivially.
     let base_run = annotate_corpus(Arc::clone(&frozen), docs, 1);
     let (reference, reference_metrics) = annotate_corpus(Arc::clone(&delta), docs, 1);
@@ -338,7 +348,7 @@ fn wal_replayed_overlay_and_compaction_annotate_identically() {
         for (i, (a, b)) in delta_docs.iter().zip(&compact_docs).enumerate() {
             assert!(
                 outcomes_identical(a, b),
-                "doc {i} diverged between overlay and compaction at {threads} threads"
+                "doc {i} diverged between delta epoch and compaction at {threads} threads"
             );
             assert!(
                 outcomes_identical(a, &reference[i]),

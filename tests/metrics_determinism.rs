@@ -4,8 +4,8 @@
 //! counts; the registry is keyed by a `BTreeMap`, so snapshot ordering is
 //! lexicographic and stable; and under the default null clock the stage
 //! histograms are interleaving-independent too. The same snapshot must also
-//! come out of both KB read backends (the frozen columnar `FrozenKb` and an
-//! empty `DeltaKb` overlay over it) — the read path must not move a single
+//! come out of both KB epoch types (the frozen columnar `FrozenKb` and an
+//! empty `DeltaKb` over it) — the read path must not move a single
 //! counter. Finally, the zero-overhead contract: attaching a registry must
 //! not change one bit of annotation output.
 
@@ -56,10 +56,10 @@ fn run_frozen(docs: &[GoldDoc], threads: usize) -> (Evaluation, MetricsSnapshot)
     (eval, metrics.snapshot())
 }
 
-/// Same pipeline over an empty `DeltaKb` overlay on the frozen KB.
+/// Same pipeline over an empty `DeltaKb` on the frozen KB.
 fn run_delta(docs: &[GoldDoc], threads: usize) -> (Evaluation, MetricsSnapshot) {
     let (_, _, frozen) = world();
-    let kb = Arc::new(DeltaKb::build(frozen.clone(), Vec::new()).expect("empty overlay"));
+    let kb = Arc::new(DeltaKb::build(frozen.clone(), Vec::new()).expect("empty batch"));
     let metrics = Metrics::new();
     let cached = CachedRelatedness::with_metrics(MilneWitten::new(kb.clone()), &metrics);
     let aida = Disambiguator::new(kb, &cached, AidaConfig::full()).with_metrics(&metrics);

@@ -4,8 +4,8 @@
 //! changing a single bit of any score. This must hold on the degraded
 //! rungs of the fault-tolerance ladder too: a solver budget that forces
 //! fallbacks fires at deterministic algorithmic points, so degraded runs
-//! are just as reproducible. The two KB read backends are held to the same
-//! bar: an empty `DeltaKb` overlay behind an `Arc` service handle must
+//! are just as reproducible. The `DeltaKb` read path is held to the same
+//! bar: an empty `DeltaKb` behind an `Arc` service handle must
 //! reproduce the borrowed `FrozenKb` outcomes bit for bit at every thread
 //! count.
 
@@ -85,10 +85,10 @@ fn delta_kb_path_is_byte_identical_to_frozen_at_every_thread_count() {
     let baseline = run_method_with_threads(&method, &corpus.docs, 1).expect("thread pool");
     assert!(!baseline.docs.is_empty());
 
-    // The other read backend: an empty overlay over the same frozen base
+    // The delta read path: an empty delta epoch over the same frozen base
     // behind a shared Arc handle, fanned out across rayon workers. Same
     // labels, same statuses, same confidence bits, for any thread count.
-    let delta = Arc::new(DeltaKb::build(Arc::clone(&frozen), Vec::new()).expect("empty overlay"));
+    let delta = Arc::new(DeltaKb::build(Arc::clone(&frozen), Vec::new()).expect("empty batch"));
     let delta_cached = CachedRelatedness::new(MilneWitten::new(delta.clone()));
     let delta_method = Disambiguator::new(delta.clone(), &delta_cached, AidaConfig::full());
     for threads in [1usize, 2, 4, 8] {
