@@ -35,8 +35,8 @@ pub struct CandidateFeatures {
 /// mention expansion passes a longer co-occurring mention's surface
 /// instead. All candidates of the mention are scored in one pass against
 /// one worker-local scratch arena — no per-candidate allocation and no
-/// nested parallel fan-out (parallelism splits at the document level, where
-/// chunks are coarse enough to pay for themselves).
+/// parallel fan-out (documents in the batch runner and requests in
+/// `ned-serve` are the only parallel grain).
 pub fn candidate_features<K: KbView + ?Sized>(
     kb: &K,
     surface: &str,

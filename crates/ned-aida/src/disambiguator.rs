@@ -4,10 +4,9 @@
 
 use ned_core::{DegradationLevel, NedError};
 use ned_kb::{EntityId, KbView};
-use ned_obs::{names, Clock, Metrics};
+use ned_obs::{Clock, Metrics};
 use ned_relatedness::Relatedness;
 use ned_text::{Mention, Token};
-use rayon::prelude::*;
 
 use crate::algorithm::{solve_budgeted_observed, SolverConfig};
 use crate::candidates::{candidate_features, CandidateFeatures};
@@ -19,16 +18,6 @@ use crate::method::NedMethod;
 use crate::obs::PipelineObs;
 use crate::result::{DisambiguationResult, MentionAssignment};
 use crate::robustness::{local_weights, should_fix_mention};
-
-/// Minimum number of mentions before the feature stage fans out over rayon.
-///
-/// Below this, a document is scored sequentially on the calling worker: the
-/// per-mention work is small enough that nested fan-out costs more in
-/// range/chunk bookkeeping than it wins, and it would split the per-worker
-/// scratch-arena reuse across short-lived scoped threads. Parallelism
-/// splits at the document level; this gate only affects *where* mentions
-/// run, never their order or values, so outputs stay bit-identical.
-const MENTION_PAR_THRESHOLD: usize = 64;
 
 /// The AIDA joint disambiguator, parameterized over the KB representation
 /// and the coherence measure.
@@ -134,7 +123,7 @@ impl<K: KbView, R: Relatedness> Disambiguator<K, R> {
             // no candidate lookups, a well-formed empty feature set.
             return Vec::new();
         }
-        let _span = self.obs.span(names::STAGE_FEATURES_NS);
+        let _span = self.obs.stage_features.span(&self.obs.clock);
         self.obs.mentions.add(mentions.len() as u64);
         let ctx = DocumentContext::build(&self.kb, tokens);
         let targets: Vec<usize> = if self.config.use_mention_expansion {
@@ -164,16 +153,10 @@ impl<K: KbView, R: Relatedness> Disambiguator<K, R> {
             }
             features
         };
-        // Mentions are scored independently. Typical documents run
-        // sequentially on the calling worker (reusing its scratch arena);
-        // only unusually mention-heavy documents fan out over rayon, whose
-        // collect preserves mention order — both paths produce identical
-        // output.
-        if mentions.len() < MENTION_PAR_THRESHOLD {
-            (0..mentions.len()).map(score_mention).collect()
-        } else {
-            (0..mentions.len()).into_par_iter().map(score_mention).collect()
-        }
+        // Mentions are scored in order on the calling thread, reusing its
+        // scratch arena: parallelism splits at the document (or request)
+        // grain only.
+        (0..mentions.len()).map(score_mention).collect()
     }
 
     /// Disambiguates pre-computed features (the entry point used by the
@@ -280,7 +263,7 @@ impl<K: KbView, R: Relatedness> Disambiguator<K, R> {
             })
             .collect();
         let graph = {
-            let _span = self.obs.span(names::STAGE_GRAPH_NS);
+            let _span = self.obs.stage_graph.span(&self.obs.clock);
             MentionEntityGraph::build(
                 &graph_locals,
                 &self.relatedness,
@@ -298,7 +281,7 @@ impl<K: KbView, R: Relatedness> Disambiguator<K, R> {
             max_iterations: self.config.solver_max_iterations,
             wall_budget_ms: self.config.solver_wall_budget_ms,
         };
-        let _span = self.obs.span(names::STAGE_SOLVER_NS);
+        let _span = self.obs.stage_solver.span(&self.obs.clock);
         Ok(solve_budgeted_observed(&graph, &solver, &self.clock, &self.obs.solver)?
             .into_iter()
             .map(|s| s.map(|ni| graph.nodes[ni].entity))

@@ -11,7 +11,6 @@ use ned_kb::fx::FxHashMap;
 use ned_kb::EntityId;
 use ned_relatedness::pair_selection::coherence_pairs;
 use ned_relatedness::Relatedness;
-use rayon::prelude::*;
 
 /// An entity node with its incident edges.
 #[derive(Debug, Clone)]
@@ -103,12 +102,11 @@ impl MentionEntityGraph {
         let candidate_lists: Vec<Vec<EntityId>> =
             local.iter().map(|c| c.iter().map(|&(e, _)| e).collect()).collect();
         let pairs = coherence_pairs(&candidate_lists);
-        // Relatedness is the expensive part: fan the pair evaluations out
-        // over rayon, collect in pair order, then scatter into the adjacency
-        // lists sequentially — edge insertion order (and thus the solver's
-        // input) is identical to a sequential build.
+        // Evaluate relatedness in pair order on the calling thread, then
+        // scatter into the adjacency lists: edge insertion order (and thus
+        // the solver's input) is fixed by the sorted pair list.
         let mut weighted: Vec<(usize, usize, f64)> = pairs
-            .par_iter()
+            .iter()
             .map(|&(a, b)| (node_of[&a], node_of[&b], relatedness.relatedness(a, b)))
             .collect();
         // Scale entity-entity weights to [0, 1].

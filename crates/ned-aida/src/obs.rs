@@ -11,7 +11,7 @@
 //! so their totals depend only on the input and configuration, never on
 //! thread interleaving or machine speed.
 
-use ned_obs::{names, Counter, Metrics, Span};
+use ned_obs::{names, Clock, Counter, Histogram, Metrics, DURATION_BOUNDS_NS};
 
 /// Counters of the similarity stage (Eq. 3.4 evaluation and the keyphrase
 /// inverted index behind it).
@@ -72,7 +72,7 @@ impl SolverObs {
     }
 }
 
-/// All pipeline counters plus the registry handle for stage spans.
+/// All pipeline counters plus the stage-span histograms.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineObs {
     /// Documents disambiguated (non-empty feature sets).
@@ -99,12 +99,20 @@ pub struct PipelineObs {
     pub sim: SimObs,
     /// Solver counters.
     pub solver: SolverObs,
-    metrics: Metrics,
+    /// Feature-stage span histogram (`stage_features_ns`).
+    pub(crate) stage_features: Histogram,
+    /// Graph-construction span histogram (`stage_graph_ns`).
+    pub(crate) stage_graph: Histogram,
+    /// Solver span histogram (`stage_solver_ns`).
+    pub(crate) stage_solver: Histogram,
+    /// The registry's clock, which stage spans record against: frozen at
+    /// zero under the default null clock, so counters stay deterministic.
+    pub(crate) clock: Clock,
 }
 
 impl PipelineObs {
-    /// Resolves every pipeline counter in `metrics` and keeps the handle
-    /// for stage spans.
+    /// Resolves every pipeline counter and stage-span histogram in
+    /// `metrics`, so the per-document path never probes the registry.
     pub fn new(metrics: &Metrics) -> Self {
         PipelineObs {
             docs: metrics.counter(names::AIDA_DOCS),
@@ -118,14 +126,10 @@ impl PipelineObs {
             degradation_prior_only: metrics.counter(names::AIDA_DEGRADATION_PRIOR_ONLY),
             sim: SimObs::new(metrics),
             solver: SolverObs::new(metrics),
-            metrics: metrics.clone(),
+            stage_features: metrics.histogram(names::STAGE_FEATURES_NS, DURATION_BOUNDS_NS),
+            stage_graph: metrics.histogram(names::STAGE_GRAPH_NS, DURATION_BOUNDS_NS),
+            stage_solver: metrics.histogram(names::STAGE_SOLVER_NS, DURATION_BOUNDS_NS),
+            clock: metrics.clock().clone(),
         }
-    }
-
-    /// Opens a wall-clock span recording into histogram `name` on drop.
-    /// Durations follow the registry's [`ned_obs::Clock`] — frozen at zero
-    /// under the default null clock, so counters stay deterministic.
-    pub fn span(&self, name: &str) -> Span {
-        self.metrics.span(name)
     }
 }

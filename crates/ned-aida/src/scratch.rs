@@ -10,9 +10,10 @@
 //! # Ownership rules
 //!
 //! - One arena per worker thread, owned by a thread-local and handed out by
-//!   [`with_scratch`]. The vendored rayon shim spawns scoped workers per
-//!   parallel region, so each worker's arena lives for its whole chunk of
-//!   documents and is reused across every mention in it.
+//!   [`with_scratch`]. A document never fans out, so one arena serves all
+//!   its mentions. The batch runner's scoped rayon workers each reuse
+//!   theirs across a whole chunk of documents, and a `ned-serve` worker
+//!   keeps its arena across requests.
 //! - Re-entrant [`with_scratch`] calls (the arena already borrowed further
 //!   up the stack) fall back to a fresh arena. This is safe because the
 //!   arena never influences *values* — only where intermediates live — so

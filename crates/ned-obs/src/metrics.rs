@@ -147,6 +147,13 @@ impl Histogram {
     pub fn count(&self) -> u64 {
         self.0.as_ref().map_or(0, |core| core.count.load(Ordering::Relaxed))
     }
+
+    /// Starts a span that records its elapsed `clock` time into this
+    /// histogram when the guard drops — no registry lookup, so hot paths
+    /// open spans from handles resolved once.
+    pub fn span(&self, clock: &Clock) -> Span {
+        Span { hist: self.clone(), clock: clock.clone(), start: clock.now_nanos() }
+    }
 }
 
 /// RAII guard that records the elapsed clock time into a histogram on drop.
@@ -257,8 +264,7 @@ impl Metrics {
     /// Starts a stage span recording into histogram `{name}` (nanosecond
     /// duration buckets) when the guard drops.
     pub fn span(&self, name: &str) -> Span {
-        let hist = self.histogram(name, DURATION_BOUNDS_NS);
-        Span { hist, clock: self.clock.clone(), start: self.clock.now_nanos() }
+        self.histogram(name, DURATION_BOUNDS_NS).span(&self.clock)
     }
 
     /// Current value of a counter by name (0 if unregistered or disabled).

@@ -8,37 +8,25 @@
 
 use ned_kb::fx::FxHashSet;
 use ned_kb::EntityId;
-use rayon::prelude::*;
 
 /// Computes the unordered entity pairs that require a relatedness value,
 /// given the candidate list of every mention. Pairs are deduplicated and
-/// returned with `a < b`.
+/// returned sorted with `a < b`.
 ///
-/// Mentions are enumerated in parallel (each worker crosses one mention's
-/// candidates with all later mentions'); the per-mention pair lists are
-/// merged and sorted afterwards, so the output is independent of the thread
-/// count.
+/// Runs sequentially on the calling thread: one document's candidate space
+/// is small, and parallelism splits at the document (or request) grain.
 pub fn coherence_pairs(candidates_per_mention: &[Vec<EntityId>]) -> Vec<(EntityId, EntityId)> {
-    let per_mention: Vec<Vec<(EntityId, EntityId)>> = (0..candidates_per_mention.len())
-        .into_par_iter()
-        .map(|mi| {
-            let cands = &candidates_per_mention[mi];
-            let mut local = Vec::new();
-            for other_cands in &candidates_per_mention[mi + 1..] {
-                for &a in cands {
-                    for &b in other_cands {
-                        if a != b {
-                            local.push(if a < b { (a, b) } else { (b, a) });
-                        }
+    let mut pairs: FxHashSet<(EntityId, EntityId)> = FxHashSet::default();
+    for (mi, cands) in candidates_per_mention.iter().enumerate() {
+        for other_cands in &candidates_per_mention[mi + 1..] {
+            for &a in cands {
+                for &b in other_cands {
+                    if a != b {
+                        pairs.insert(if a < b { (a, b) } else { (b, a) });
                     }
                 }
             }
-            local
-        })
-        .collect();
-    let mut pairs: FxHashSet<(EntityId, EntityId)> = FxHashSet::default();
-    for local in per_mention {
-        pairs.extend(local);
+        }
     }
     let mut out: Vec<(EntityId, EntityId)> = pairs.into_iter().collect();
     out.sort_unstable();

@@ -9,9 +9,11 @@ use ned_kb::EntityId;
 /// [`CachedRelatedness`](crate::CachedRelatedness) relies on) and
 /// non-negative; most measures are bounded by 1.
 ///
-/// `Sync` is a supertrait because coherence-edge construction queries the
-/// measure from rayon worker threads; all measures are immutable views over
-/// the knowledge base (or internally synchronized, like the pair cache).
+/// `Sync` is a supertrait because one measure is shared by every document
+/// of the batch runner's rayon workers and every `ned-serve` worker (a
+/// single document queries it only from its own thread); all measures are
+/// immutable views over the knowledge base (or internally synchronized,
+/// like the pair cache).
 pub trait Relatedness: Sync {
     /// Short identifier used in experiment tables ("MW", "KORE", ...).
     fn name(&self) -> &'static str;

@@ -7,22 +7,28 @@
 //! are just as reproducible. The `DeltaKb` read path is held to the same
 //! bar: an empty `DeltaKb` behind an `Arc` service handle must
 //! reproduce the borrowed `FrozenKb` outcomes bit for bit at every thread
-//! count.
+//! count. Documents (and `ned-serve` requests) are the only parallel
+//! grain: one document's disambiguation never leaves the calling thread,
+//! even when it runs inside a thread pool.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 #[path = "common/oracle.rs"]
 mod oracle;
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 
 use aida_ned::aida::context::DocumentContext;
-use aida_ned::aida::{AidaConfig, Disambiguator, KeywordWeighting};
-use aida_ned::kb::{DeltaKb, EntityKind, FrozenKb, KbBuilder};
-use aida_ned::relatedness::{CachedRelatedness, MilneWitten};
+use aida_ned::aida::{
+    AidaConfig, DisambiguationResult, Disambiguator, KeywordWeighting, NedMethod,
+};
+use aida_ned::kb::{DeltaKb, EntityId, EntityKind, FrozenKb, KbBuilder};
+use aida_ned::relatedness::{CachedRelatedness, MilneWitten, Relatedness};
 use aida_ned::text::tokenize;
 use aida_ned::wikigen::config::WorldConfig;
-use aida_ned::wikigen::corpus::conll_like;
+use aida_ned::wikigen::corpus::{conll_like, conll_profile};
+use aida_ned::wikigen::docgen::{DocGenerator, DocProfile};
 use aida_ned::wikigen::{ExportedKb, World};
 use ned_bench::runner::{run_method_with_threads, Evaluation};
 use oracle::{production_simscores, simscore_exhaustive};
@@ -129,6 +135,80 @@ fn degraded_runs_are_deterministic_across_thread_counts() {
             run_method_with_threads(&method, &corpus.docs, threads).expect("thread pool");
         assert_identical(&baseline, &parallel, threads);
     }
+}
+
+/// Wraps a measure and records the thread of every call.
+struct ThreadRecording<R> {
+    inner: R,
+    threads: Mutex<Vec<ThreadId>>,
+}
+
+impl<R: Relatedness> Relatedness for ThreadRecording<R> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn relatedness(&self, a: EntityId, b: EntityId) -> f64 {
+        self.threads.lock().unwrap().push(std::thread::current().id());
+        self.inner.relatedness(a, b)
+    }
+}
+
+/// One assignment's label, score bits and candidate score bits.
+type AssignmentBits = (Option<EntityId>, u64, Vec<(EntityId, u64)>);
+
+/// Every bit of a result: labels, scores and candidate lists.
+fn result_bits(result: &DisambiguationResult) -> Vec<AssignmentBits> {
+    result
+        .assignments
+        .iter()
+        .map(|a| {
+            let candidates = a.candidate_scores.iter().map(|&(e, s)| (e, s.to_bits())).collect();
+            (a.entity, a.score.to_bits(), candidates)
+        })
+        .collect()
+}
+
+#[test]
+fn disambiguation_never_leaves_the_calling_thread() {
+    let world = World::generate(WorldConfig {
+        entities_per_topic: 120,
+        ..WorldConfig::default()
+    });
+    let exported = ExportedKb::build(&world);
+    let corpus = conll_like(&world, &exported, 11, 4);
+    let kb = &FrozenKb::freeze(&exported.kb);
+    let recording =
+        ThreadRecording { inner: MilneWitten::new(kb), threads: Mutex::new(Vec::new()) };
+    let method = Disambiguator::new(kb, &recording, AidaConfig::full());
+
+    // A `ned-serve` worker calls the disambiguator inside a pool it is not
+    // a worker of, so nothing marks the call as nested.
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+    let caller = std::thread::current().id();
+    for doc in corpus.docs.iter().filter(|d| d.mentions.len() >= 2) {
+        pool.install(|| method.disambiguate(&doc.tokens, &doc.bare_mentions()));
+    }
+    let threads = recording.threads.lock().unwrap();
+    assert!(!threads.is_empty(), "coherence must query the measure");
+    assert!(
+        threads.iter().all(|&t| t == caller),
+        "{} of {} relatedness calls ran off the calling thread",
+        threads.iter().filter(|&&t| t != caller).count(),
+        threads.len()
+    );
+    drop(threads);
+
+    // A mention-heavy document gives the same bits inside and outside the
+    // pool.
+    let profile = DocProfile { mentions: (64, 80), ..conll_profile() };
+    let big = DocGenerator::new(&world, &exported, 5).generate(&profile, 0);
+    let mentions = big.bare_mentions();
+    assert!(mentions.len() >= 64);
+    let outside = method.disambiguate(&big.tokens, &mentions);
+    let inside = pool.install(|| method.disambiguate(&big.tokens, &mentions));
+    assert_eq!(outside.degradation, inside.degradation);
+    assert_eq!(result_bits(&outside), result_bits(&inside));
 }
 
 proptest! {
